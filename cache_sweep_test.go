@@ -8,6 +8,9 @@ import (
 	"vwchar/internal/sim"
 )
 
+// cacheSweepSHA256 pins cacheSweepSpec's table output.
+const cacheSweepSHA256 = "0ed8e5f947d3e3752e3d66780f9385a3597b8ffa357af8dd9c9480292c55c99b"
+
 // cacheSweepSpec is a reduced grid of cache+queue runs: both mixes on
 // the virtualized testbed with a leased, short-TTL cache tier (so
 // expiries and re-fetches happen inside the run) and the write-behind
@@ -56,6 +59,7 @@ func TestCacheSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	seq, sr := table(1)
 	par, _ := table(8)
+	checkTableDigest(t, "cache", seq, cacheSweepSHA256)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("cache sweep output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}

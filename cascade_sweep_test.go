@@ -8,6 +8,9 @@ import (
 	"vwchar/internal/sim"
 )
 
+// cascadeSweepSHA256 pins cascadeSweepSpec's table output.
+const cascadeSweepSHA256 = "9ded454c7a77ce85564be1ce50e0d8ffc72c78f83cd4a243651f58c892c53a10"
+
 // cascadeSweepSpec arms every correlated-failure feature at once on
 // the cluster grid: a shared-fate rack loss, a web-crash storm, a
 // conditional trigger, the load-coupled crash hazard, and the
@@ -85,6 +88,7 @@ func TestCascadeSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	seq, sr := table(1)
 	par, _ := table(8)
+	checkTableDigest(t, "cascade", seq, cascadeSweepSHA256)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("cascade sweep output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}

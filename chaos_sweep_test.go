@@ -8,6 +8,9 @@ import (
 	"vwchar/internal/sim"
 )
 
+// chaosSweepSHA256 pins chaosSweepSpec's table output.
+const chaosSweepSHA256 = "37b0624898171416ff91dfb47dad91194664eee347a7e92e779879813d4ad15e"
+
 // chaosSweepSpec is the cluster grid with a fault schedule and the
 // full resilience stack armed: a web replica crashes and recovers, the
 // DB primary dies for good (forcing a promotion), and the guarded
@@ -70,6 +73,7 @@ func TestChaosSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	seq, sr := table(1)
 	par, _ := table(8)
+	checkTableDigest(t, "chaos", seq, chaosSweepSHA256)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("chaos sweep output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}

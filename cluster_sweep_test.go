@@ -8,6 +8,9 @@ import (
 	"vwchar/internal/sim"
 )
 
+// clusterSweepSHA256 pins clusterSweepSpec's table output.
+const clusterSweepSHA256 = "03c964c30546749b35c40761678a95abaa66fd67d4c342091ecfa7a0593b0971"
+
 // clusterSweepSpec is a reduced grid of cluster-topology runs: two
 // mixes over a replicated, multi-machine, autoscaled deployment.
 func clusterSweepSpec(workers int) vwchar.SweepSpec {
@@ -60,6 +63,7 @@ func TestClusterSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	seq, sr := table(1)
 	par, _ := table(8)
+	checkTableDigest(t, "cluster", seq, clusterSweepSHA256)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("cluster sweep output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}

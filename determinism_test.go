@@ -59,13 +59,25 @@ func TestFullSweepOutputMatchesGoldenHash(t *testing.T) {
 	if err := sr.WriteTable(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	got := hex.EncodeToString(sum[:])
-	if got != goldenSweepSHA256 {
-		t.Fatalf("sweep output hash changed:\n  got  %s\n  want %s\n(%d bytes of table output; see the constant's comment for when updating is legitimate)",
-			got, goldenSweepSHA256, buf.Len())
+	checkTableDigest(t, "golden", buf.Bytes(), goldenSweepSHA256)
+}
+
+// checkTableDigest fails the test unless a sweep's WriteTable output
+// hashes to want. The workers=1 vs workers=8 comparisons alone would
+// pass a change that moved both sides' bytes the same way; the pinned
+// digest catches that. Regenerate a constant only for an intentional
+// model change, as for goldenSweepSHA256.
+func checkTableDigest(t *testing.T, name string, table []byte, want string) {
+	t.Helper()
+	sum := sha256.Sum256(table)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("%s sweep output hash changed:\n  got  %s\n  want %s\n(%d bytes of table output)",
+			name, got, want, len(table))
 	}
 }
+
+// loadScenarioSweepSHA256 pins loadScenarioSweepSpec's table output.
+const loadScenarioSweepSHA256 = "23c1d75d6d21c8eddc213753abff2e74281efe9905a34d0509af918cdc8374cc"
 
 // loadScenarioSweepSpec is a reduced open-loop grid: both deployments
 // crossed with every catalog scenario plus an inline trace replay, the
@@ -124,6 +136,7 @@ func TestLoadScenarioSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	seq, sr := table(1)
 	par, _ := table(8)
+	checkTableDigest(t, "open-loop", seq, loadScenarioSweepSHA256)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("open-loop sweep output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}
