@@ -265,8 +265,8 @@ func TestFullSweepByteIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // BenchmarkAblationNoSplitDriver runs the virtualized stack with the
-// split-driver backend costs zeroed — the ablation DESIGN.md calls out
-// for the dom0 overhead mechanism. dom0's CPU demand collapses to its
+// split-driver backend costs zeroed — the ablation Config.XenParams
+// exists for, isolating the dom0 overhead mechanism. dom0's CPU demand collapses to its
 // own management activity, quantifying how much of the hypervisor's
 // measured load is I/O backend work (nearly all of it).
 func BenchmarkAblationNoSplitDriver(b *testing.B) {

@@ -75,28 +75,20 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 		replicas = append(replicas, tiers.NewDBServer(k, be, nil, params))
 	}
 	inst.dbc = tiers.NewDBCluster(primary, replicas, topo.ReplicaLag())
+	// dbPaths lists the paths from guest dom on machine m to every DB
+	// instance, primary first.
+	dbPaths := func(m int, dom *xen.Domain) []tiers.PathPair {
+		paths := make([]tiers.PathPair, len(inst.dbDoms))
+		for j, db := range inst.dbDoms {
+			paths[j] = vmPaths(k, hvs, m, dom, topo.MachineFor(primaryVM+j), db)
+		}
+		return paths
+	}
 
 	webs := make([]*tiers.WebAppServer, 0, topo.MaxWebReplicas)
 	for i, dom := range inst.webDoms {
 		be := &tiers.VMBackend{HV: hvFor(i), Dom: dom, Peer: primaryDom}
-		paths := make([]tiers.PathPair, inst.dbc.Instances())
-		for j := range paths {
-			dbVM := primaryVM + j
-			dbDom := inst.dbDoms[j]
-			if topo.MachineFor(i) == topo.MachineFor(dbVM) {
-				hv := hvFor(i)
-				paths[j] = tiers.PathPair{
-					To:   tiers.VMPath(hv, dom, dbDom),
-					From: tiers.VMPath(hv, dbDom, dom),
-				}
-			} else {
-				paths[j] = tiers.PathPair{
-					To:   tiers.CrossVMPath(k, hvFor(i), dom, hvFor(dbVM), dbDom),
-					From: tiers.CrossVMPath(k, hvFor(dbVM), dbDom, hvFor(i), dom),
-				}
-			}
-		}
-		webs = append(webs, tiers.NewWebAppServer(k, be, inst.dbc, paths, tiers.DefaultWebParams("vm")))
+		webs = append(webs, tiers.NewWebAppServer(k, be, inst.dbc, dbPaths(topo.MachineFor(i), dom), tiers.DefaultWebParams("vm")))
 	}
 	inst.cluster = tiers.NewWebCluster(k, webs, topo.WebReplicas, tiers.NewLoadBalancer(topo.LB))
 	if cache == nil && queue == nil {
@@ -117,18 +109,6 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 		}
 		return (topo.VMCount() + i) % topo.Machines
 	}
-	webPath := func(i int, m int, dom *xen.Domain) tiers.PathPair {
-		if topo.MachineFor(i) == m {
-			return tiers.PathPair{
-				To:   tiers.VMPath(hvs[m], inst.webDoms[i], dom),
-				From: tiers.VMPath(hvs[m], dom, inst.webDoms[i]),
-			}
-		}
-		return tiers.PathPair{
-			To:   tiers.CrossVMPath(k, hvFor(i), inst.webDoms[i], hvs[m], dom),
-			From: tiers.CrossVMPath(k, hvs[m], dom, hvFor(i), inst.webDoms[i]),
-		}
-	}
 
 	if cache != nil {
 		m := auxMachine(0)
@@ -138,7 +118,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 		inst.cacheSrv = tiers.NewCacheServer(k, be, *cache, tiers.DefaultCacheParams())
 		inst.cacheDom = dom
 		for i, w := range webs {
-			w.SetCacheTier(inst.cacheSrv, webPath(i, m, dom))
+			w.SetCacheTier(inst.cacheSrv, vmPaths(k, hvs, topo.MachineFor(i), inst.webDoms[i], m, dom))
 		}
 	}
 	if queue != nil {
@@ -146,58 +126,53 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 		dom := hvs[m].CreateGuest(fmt.Sprintf("wqueue-vm-%d", pair), 2, 2<<30, 256)
 		dom.Mem.Set("kernel", 30e6)
 		be := &tiers.VMBackend{HV: hvs[m], Dom: dom, Peer: inst.dbDoms[0]}
-		qPaths := make([]tiers.PathPair, inst.dbc.Instances())
-		for j := range qPaths {
-			dbVM := primaryVM + j
-			dbDom := inst.dbDoms[j]
-			if topo.MachineFor(dbVM) == m {
-				qPaths[j] = tiers.PathPair{
-					To:   tiers.VMPath(hvs[m], dom, dbDom),
-					From: tiers.VMPath(hvs[m], dbDom, dom),
-				}
-			} else {
-				qPaths[j] = tiers.PathPair{
-					To:   tiers.CrossVMPath(k, hvs[m], dom, hvFor(dbVM), dbDom),
-					From: tiers.CrossVMPath(k, hvFor(dbVM), dbDom, hvs[m], dom),
-				}
-			}
-		}
-		inst.queueSrv = tiers.NewQueueServer(k, be, inst.dbc, qPaths, *queue, tiers.DefaultQueueParams())
+		inst.queueSrv = tiers.NewQueueServer(k, be, inst.dbc, dbPaths(m, dom), *queue, tiers.DefaultQueueParams())
 		inst.queueDom = dom
 		for i, w := range webs {
-			w.SetQueueTier(inst.queueSrv, webPath(i, m, dom))
+			w.SetQueueTier(inst.queueSrv, vmPaths(k, hvs, topo.MachineFor(i), inst.webDoms[i], m, dom))
 		}
 	}
 	return inst
 }
 
-// clusterTargets builds the collector target list for a non-degenerate
-// topology: per-VM targets first (their snapshots tick the guest OS
-// clocks), then per-machine dom0s when there are several machines, then
-// non-ticking aggregates under the classic tier names so every existing
-// consumer of "webapp"/"mysql"/"dom0" keeps working at cluster scale.
-func clusterTargets(k *sim.Kernel, hvs []*xen.Hypervisor, inst *vmInstance) []sysstat.Target {
+// vmTargets builds the collector targets for instance 0. A degenerate
+// topology keeps the paper's exact {webapp, mysql, dom0} target list,
+// which the golden sweep hash pins. A cluster gets per-VM targets
+// first (their snapshots tick the guest OS clocks), then per-machine
+// dom0s when there are several machines, then non-ticking aggregates
+// under the classic tier names so every existing consumer of
+// "webapp"/"mysql"/"dom0" keeps working at cluster scale. The aux
+// tiers come last, only when their specs are set, so the classic
+// prefix is untouched.
+func vmTargets(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, inst *vmInstance) []sysstat.Target {
 	var ts []sysstat.Target
-	for i, d := range inst.webDoms {
-		ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-%d", TierWeb, i), Snap: vmSnapshot(k, d)})
-	}
-	ts = append(ts, sysstat.Target{Name: TierDB + "-primary", Snap: vmSnapshot(k, inst.dbDoms[0])})
-	for j, d := range inst.dbDoms[1:] {
-		ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-ro-%d", TierDB, j), Snap: vmSnapshot(k, d)})
-	}
-	if len(hvs) > 1 {
-		for m, hv := range hvs {
-			ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-%d", TierDom0, m), Snap: dom0Snapshot(k, hv)})
+	if topo.IsDegenerate() {
+		ts = []sysstat.Target{
+			{Name: TierWeb, Snap: vmSnapshot(k, inst.webDoms[0])},
+			{Name: TierDB, Snap: vmSnapshot(k, inst.dbDoms[0])},
+			{Name: TierDom0, Snap: dom0Snapshot(k, hvs[0])},
 		}
-		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: dom0AggSnapshot(k, hvs)})
 	} else {
-		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: dom0Snapshot(k, hvs[0])})
+		for i, d := range inst.webDoms {
+			ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-%d", TierWeb, i), Snap: vmSnapshot(k, d)})
+		}
+		ts = append(ts, sysstat.Target{Name: TierDB + "-primary", Snap: vmSnapshot(k, inst.dbDoms[0])})
+		for j, d := range inst.dbDoms[1:] {
+			ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-ro-%d", TierDB, j), Snap: vmSnapshot(k, d)})
+		}
+		if len(hvs) > 1 {
+			for m, hv := range hvs {
+				ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-%d", TierDom0, m), Snap: dom0Snapshot(k, hv)})
+			}
+			ts = append(ts, sysstat.Target{Name: TierDom0, Snap: dom0AggSnapshot(k, hvs)})
+		} else {
+			ts = append(ts, sysstat.Target{Name: TierDom0, Snap: dom0Snapshot(k, hvs[0])})
+		}
+		ts = append(ts,
+			sysstat.Target{Name: TierWeb, Snap: vmAggSnapshot(k, inst.webDoms)},
+			sysstat.Target{Name: TierDB, Snap: vmAggSnapshot(k, inst.dbDoms)},
+		)
 	}
-	ts = append(ts,
-		sysstat.Target{Name: TierWeb, Snap: vmAggSnapshot(k, inst.webDoms)},
-		sysstat.Target{Name: TierDB, Snap: vmAggSnapshot(k, inst.dbDoms)},
-	)
-	// Aux tiers last, so the classic target prefix is untouched.
 	if inst.cacheDom != nil {
 		ts = append(ts, sysstat.Target{Name: TierCache, Snap: vmSnapshot(k, inst.cacheDom)})
 	}
@@ -207,99 +182,16 @@ func clusterTargets(k *sim.Kernel, hvs []*xen.Hypervisor, inst *vmInstance) []sy
 	return ts
 }
 
-// vmAggSnapshot sums guest-visible counters across doms without
-// ticking their OS clocks — the per-VM targets, registered earlier in
-// the same collection round, own the ticks.
-func vmAggSnapshot(k *sim.Kernel, doms []*xen.Domain) func() sysstat.Snapshot {
-	return func() sysstat.Snapshot {
-		s := sysstat.Snapshot{At: k.Now(), FreqHz: 2.8e9}
-		for _, d := range doms {
-			l1, l5, l15 := d.OS.LoadAvg()
-			s.CPUCycles += d.VirtCycles()
-			s.CPUBusy += d.CPU.BusyTime()
-			s.StealTime += d.StealTime()
-			s.Cores += d.VCPUs
-			s.MemTotal += d.Mem.Capacity()
-			s.MemUsed += d.Mem.Used()
-			s.MemBuffers += d.Mem.Used() * 0.04
-			s.MemCached += d.Mem.Get("dbcache") + d.Mem.Get("pagecache")
-			s.DiskReadBytes += d.DiskReadBytes
-			s.DiskWriteBytes += d.DiskWrittenBytes
-			s.DiskReadOps += d.DiskOps / 2
-			s.DiskWriteOps += d.DiskOps - d.DiskOps/2
-			s.NetRxBytes += d.NetRxBytes
-			s.NetTxBytes += d.NetTxBytes
-			s.NetRxPkts += uint64(d.NetRxBytes/1500) + 1
-			s.NetTxPkts += uint64(d.NetTxBytes/1500) + 1
-			s.CtxSwitches += d.OS.CtxSwitches
-			s.Interrupts += d.OS.Interrupts
-			s.SoftIRQs += d.OS.SoftIRQs
-			s.Forks += d.OS.Forks
-			s.Faults += d.OS.Faults
-			s.MajFaults += d.OS.MajFaults
-			s.PgInBytes += d.OS.PgInBytes
-			s.PgOutBytes += d.OS.PgOutBytes
-			s.Procs += d.OS.Procs
-			s.RunQueue += d.OS.RunQueue
-			s.Blocked += d.OS.Blocked
-			s.OpenFds += d.OS.OpenFds
-			s.TCPSocks += 40 + d.OS.RunQueue*2
-			s.UDPSocks += 4
-			s.Load1 += l1
-			s.Load5 += l5
-			s.Load15 += l15
-		}
-		return s
+// vmPaths returns the paths between guest a on machine ma and guest b
+// on machine mb: the split-driver path through the shared dom0 when
+// they share a machine, the cross-machine network path otherwise. To
+// runs a to b, From runs b to a.
+func vmPaths(k *sim.Kernel, hvs []*xen.Hypervisor, ma int, a *xen.Domain, mb int, b *xen.Domain) tiers.PathPair {
+	if ma == mb {
+		return tiers.PathPair{To: tiers.VMPath(hvs[ma], a, b), From: tiers.VMPath(hvs[ma], b, a)}
 	}
-}
-
-// dom0AggSnapshot sums dom0 and host-device counters across machines
-// without ticking (the per-machine dom0 targets own the ticks).
-func dom0AggSnapshot(k *sim.Kernel, hvs []*xen.Hypervisor) func() sysstat.Snapshot {
-	return func() sysstat.Snapshot {
-		var s sysstat.Snapshot
-		s.At = k.Now()
-		for _, hv := range hvs {
-			d := hv.Dom0()
-			host := hv.Host()
-			l1, l5, l15 := d.OS.LoadAvg()
-			rops, wops := host.Disk.Ops()
-			rpk, tpk := host.NIC.Packets()
-			s.CPUCycles += d.CPU.TotalCycles()
-			s.CPUBusy += d.CPU.BusyTime()
-			s.Cores += d.VCPUs
-			s.FreqHz = host.Spec.FreqHz
-			s.MemTotal += d.Mem.Capacity()
-			s.MemUsed += d.Mem.Used()
-			s.MemBuffers += d.Mem.Get("backend-buffers")
-			s.MemCached += d.Mem.Get("pagecache")
-			s.DiskReadBytes += host.Disk.ReadBytes()
-			s.DiskWriteBytes += host.Disk.WrittenBytes()
-			s.DiskReadOps += rops
-			s.DiskWriteOps += wops
-			s.DiskBusy += host.Disk.BusyTime()
-			s.NetRxBytes += host.NIC.RxBytes()
-			s.NetTxBytes += host.NIC.TxBytes()
-			s.NetRxPkts += rpk
-			s.NetTxPkts += tpk
-			s.CtxSwitches += d.OS.CtxSwitches
-			s.Interrupts += d.OS.Interrupts
-			s.SoftIRQs += d.OS.SoftIRQs
-			s.Forks += d.OS.Forks
-			s.Faults += d.OS.Faults
-			s.MajFaults += d.OS.MajFaults
-			s.PgInBytes += d.OS.PgInBytes
-			s.PgOutBytes += d.OS.PgOutBytes
-			s.Procs += d.OS.Procs
-			s.RunQueue += d.OS.RunQueue
-			s.Blocked += d.OS.Blocked
-			s.OpenFds += d.OS.OpenFds
-			s.TCPSocks += 35
-			s.UDPSocks += 6
-			s.Load1 += l1
-			s.Load5 += l5
-			s.Load15 += l15
-		}
-		return s
+	return tiers.PathPair{
+		To:   tiers.CrossVMPath(k, hvs[ma], a, hvs[mb], b),
+		From: tiers.CrossVMPath(k, hvs[mb], b, hvs[ma], a),
 	}
 }

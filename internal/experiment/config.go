@@ -56,8 +56,8 @@ func (c Config) Validate() error {
 	} else if c.Clients <= 0 {
 		return fmt.Errorf("experiment: closed-loop runs need positive clients")
 	}
-	if c.Pairs > 5 {
-		return fmt.Errorf("experiment: %d pairs exceed the testbed's ten-VM limit", c.Pairs)
+	if c.Pairs < 0 || c.Pairs > 5 {
+		return fmt.Errorf("experiment: %d pairs outside 0..5 (the testbed's ten-VM limit)", c.Pairs)
 	}
 	if c.Pairs > 1 && c.Environment != Virtualized {
 		return fmt.Errorf("experiment: consolidation requires the virtualized deployment")
@@ -66,12 +66,10 @@ func (c Config) Validate() error {
 		if err := c.Topology.Validate(); err != nil {
 			return fmt.Errorf("experiment: %w", err)
 		}
-		norm := c.Topology.Normalized()
-		if c.Environment != Virtualized && !norm.IsDegenerate() {
-			return fmt.Errorf("experiment: cluster topologies require the virtualized deployment")
-		}
-		if c.Pairs > 1 && !norm.IsDegenerate() {
-			return fmt.Errorf("experiment: cluster topologies are incompatible with consolidation pairs")
+		if !c.Topology.Normalized().IsDegenerate() {
+			if err := c.singleVirtualized("a cluster topology"); err != nil {
+				return err
+			}
 		}
 	}
 	if c.Faults != nil {
@@ -79,11 +77,8 @@ func (c Config) Validate() error {
 			return err
 		}
 		if !c.Faults.Empty() {
-			if c.Environment != Virtualized {
-				return fmt.Errorf("experiment: fault injection requires the virtualized deployment")
-			}
-			if c.Pairs > 1 {
-				return fmt.Errorf("experiment: fault injection is incompatible with consolidation pairs")
+			if err := c.singleVirtualized("fault injection"); err != nil {
+				return err
 			}
 		}
 	}
@@ -91,26 +86,29 @@ func (c Config) Validate() error {
 		if err := c.Cache.Validate(); err != nil {
 			return err
 		}
-		if c.Environment != Virtualized {
-			return fmt.Errorf("experiment: the cache tier requires the virtualized deployment")
-		}
-		if c.Pairs > 1 {
-			return fmt.Errorf("experiment: the cache tier is incompatible with consolidation pairs")
+		if err := c.singleVirtualized("the cache tier"); err != nil {
+			return err
 		}
 	}
 	if c.Queue != nil {
 		if err := c.Queue.Validate(); err != nil {
 			return err
 		}
-		if c.Environment != Virtualized {
-			return fmt.Errorf("experiment: the queue tier requires the virtualized deployment")
-		}
-		if c.Pairs > 1 {
-			return fmt.Errorf("experiment: the queue tier is incompatible with consolidation pairs")
+		if err := c.singleVirtualized("the queue tier"); err != nil {
+			return err
 		}
 	}
-	if err := c.Resilience.Validate(); err != nil {
-		return err
+	return c.Resilience.Validate()
+}
+
+// singleVirtualized rejects feature outside a single-instance
+// virtualized run.
+func (c Config) singleVirtualized(feature string) error {
+	if c.Environment != Virtualized {
+		return fmt.Errorf("experiment: %s requires the virtualized deployment", feature)
+	}
+	if c.Pairs > 1 {
+		return fmt.Errorf("experiment: %s is incompatible with consolidation pairs", feature)
 	}
 	return nil
 }

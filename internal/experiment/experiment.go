@@ -2,6 +2,20 @@
 // RUBiS three-tier system under a chosen client mix, deployed either in
 // VMs on one Xen host (Section 4.1) or on two physical servers (Section
 // 4.2), profiled by the sysstat collector for 600 two-second samples.
+//
+// Everything a Config can add to the paper's setup is an optional
+// layer, declared once in a fixed list: request accounting (with the
+// guard counters), fault injector, health monitor, degradation (crash
+// hazard and brownout), autoscaler, cluster gauges, cache, queue. Run
+// builds the list after assembling the deployment and drives each
+// phase across it: series before window capacity is reserved, window
+// hooks after every driver's rotation, harvest after the kernel stops.
+// The order is part of the determinism contract. The injector arms its
+// timeline before the monitor starts probing, so their kernel events
+// keep their sequence order; at each window boundary the hazard
+// crashes replicas first, the brownout controller re-levels on the
+// result, and the autoscaler decides last, on the window that just
+// closed.
 package experiment
 
 import (
@@ -305,310 +319,230 @@ func (r *Result) Disk(tier string) *timeseries.Series { return r.Collector.Disk(
 // Net returns the per-2s network rx+tx series (KB).
 func (r *Result) Net(tier string) *timeseries.Series { return r.Collector.Net(tier) }
 
-// Run executes the configured experiment to completion.
+// Run executes the configured experiment to completion: validate,
+// attach the datasets, assemble the deployment, declare its optional
+// layers, then drive each phase across the layer list around the
+// kernel run (see the package doc for the order).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pairs := cfg.Pairs
-	if pairs < 1 {
-		pairs = 1
+	d := &deployment{cfg: cfg, k: sim.NewKernel(), src: rng.NewSource(cfg.Seed), model: cfg.Mix.Model()}
+	defer d.release()
+	if err := d.attachDatasets(); err != nil {
+		return nil, err
 	}
-	k := sim.NewKernel()
-	src := rng.NewSource(cfg.Seed)
-	model := cfg.Mix.Model()
-	costs := rubis.DefaultCostParams()
-
-	res := &Result{Config: cfg}
-	// Datasets come from the process-wide golden snapshot cache: the
-	// first run for a (scale, seed) pair populates and seals it, and
-	// every later run attaches a copy-on-write view in microseconds.
-	// Views are returned to the snapshot's pool when the run is done
-	// (results only hold aggregated numbers, never engine state).
-	var attachedApps []*rubis.App
-	defer func() {
-		for _, a := range attachedApps {
-			a.Release()
-		}
-	}()
-	attachApp := func(streamName string, pair int) (*rubis.App, error) {
-		seed := src.SeedFor(streamName)
-		if cfg.DatasetSeed != 0 {
-			if pair == 0 {
-				// Pair 0 (and the physical env) share the pinned seed
-				// directly, so a sweep's replications — and both
-				// environments — reuse one golden.
-				seed = cfg.DatasetSeed
-			} else {
-				seed = rng.NewSource(cfg.DatasetSeed).SeedFor(streamName)
-			}
-		}
-		a, err := rubis.SharedApp(cfg.Dataset, seed)
-		if err != nil {
-			return nil, err
-		}
-		attachedApps = append(attachedApps, a)
-		return a, nil
+	assemble := d.assembleVirtualized
+	if cfg.Environment == Physical {
+		assemble = d.assemblePhysical
 	}
-	var growthWebs []*tiers.WebAppServer
-	var collector *sysstat.Collector
-	var hv *xen.Hypervisor
-	var drivers []tiers.LoadGen
-	var app *rubis.App
-	var inst *vmInstance
-	var topo tiers.Topology
-
-	// newDriver picks the workload shape: the paper's closed loop when
-	// cfg.Load is nil, the open-loop generator otherwise. Each instance
-	// gets its own arrival process (they are stateful) and RNG source.
-	// With a Resilience spec the dispatch path is wrapped in a guard
-	// (timeouts/retries/breaker) per instance; without one the frontend
-	// is untouched.
-	var guards []*tiers.Guard
-	newDriver := func(app *rubis.App, web tiers.Frontend, src *rng.Source) (tiers.LoadGen, error) {
-		if cfg.Resilience != nil {
-			g := tiers.NewGuard(k, web, *cfg.Resilience, src.Stream("resilience-jitter"))
-			guards = append(guards, g)
-			web = g
-		}
-		if cfg.Load == nil {
-			return tiers.NewDriver(k, app, model, web, costs, cfg.Clients, src), nil
-		}
-		p, err := tiers.OpenParamsFromSpec(cfg.Load)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: building load spec: %w", err)
-		}
-		return tiers.NewOpenDriver(k, app, model, web, costs, p, src), nil
+	if err := assemble(); err != nil {
+		return nil, err
 	}
+	layers := d.layers()
 
-	switch cfg.Environment {
-	case Virtualized:
-		if cfg.Topology != nil {
-			topo = *cfg.Topology
-		}
-		topo = topo.Normalized()
-		xp := xen.DefaultParams()
-		if cfg.XenParams != nil {
-			xp = *cfg.XenParams
-		}
-		hvs := make([]*xen.Hypervisor, topo.Machines)
-		for m := range hvs {
-			host := hw.NewServer(k, hw.ProLiantSpec(fmt.Sprintf("host%d", m)))
-			hvs[m] = xen.New(k, host, xp)
-		}
-		hv = hvs[0]
-		for p := 0; p < pairs; p++ {
-			appP, err := attachApp(fmt.Sprintf("dataset-%d", p), p)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: dataset %d: %w", p, err)
-			}
-			instP := buildVMInstance(k, hvs, topo, p, appP, cfg.Cache, cfg.Queue)
-			drv, err := newDriver(appP, instP.cluster, rng.NewSource(cfg.Seed+uint64(p)*7919))
-			if err != nil {
-				return nil, err
-			}
-			drivers = append(drivers, drv)
-			growthWebs = append(growthWebs, instP.cluster.Replicas...)
-			if p == 0 {
-				app = appP
-				inst = instP
-				if topo.IsDegenerate() {
-					// The paper's exact target prefix — the golden sweep
-					// hash pins this path; aux-tier targets append after
-					// it only when their specs are set.
-					targets := []sysstat.Target{
-						{Name: TierWeb, Snap: vmSnapshot(k, instP.webDoms[0])},
-						{Name: TierDB, Snap: vmSnapshot(k, instP.dbDoms[0])},
-						{Name: TierDom0, Snap: dom0Snapshot(k, hv)},
-					}
-					if instP.cacheDom != nil {
-						targets = append(targets, sysstat.Target{Name: TierCache, Snap: vmSnapshot(k, instP.cacheDom)})
-					}
-					if instP.queueDom != nil {
-						targets = append(targets, sysstat.Target{Name: TierQueue, Snap: vmSnapshot(k, instP.queueDom)})
-					}
-					collector = sysstat.NewCollector(k, cfg.KeepFullCatalog, targets...)
-				} else {
-					collector = sysstat.NewCollector(k, cfg.KeepFullCatalog, clusterTargets(k, hvs, instP)...)
-				}
-			}
-		}
-		_ = app
-
-	case Physical:
-		appP, err := attachApp("dataset", 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: dataset: %w", err)
-		}
-		app = appP
-		webSrv := hw.NewServer(k, hw.ProLiantSpec("web-pm"))
-		dbSrv := hw.NewServer(k, hw.ProLiantSpec("db-pm"))
-		webOS := osmodel.New("web-pm", webSrv.Mem, 140)
-		dbOS := osmodel.New("db-pm", dbSrv.Mem, 135)
-		webSrv.Mem.Set("kernel", 90e6)
-		dbSrv.Mem.Set("kernel", 90e6)
-
-		webBE := tiers.NewPMBackend(k, webSrv, dbSrv, tiers.DefaultPMParams("web"), src.Stream("pm-web-noise"), webOS)
-		dbBE := tiers.NewPMBackend(k, dbSrv, webSrv, tiers.DefaultPMParams("db"), src.Stream("pm-db-noise"), dbOS)
-		db := tiers.NewDBServer(k, dbBE, app, tiers.DefaultDBParams("pm"))
-		dbc := tiers.NewDBCluster(db, nil, 0)
-		paths := []tiers.PathPair{{To: tiers.PMPath(webBE), From: tiers.PMPath(dbBE)}}
-		webPM := tiers.NewWebAppServer(k, webBE, dbc, paths, tiers.DefaultWebParams("pm"))
-		growthWebs = append(growthWebs, webPM)
-		drv, err := newDriver(app, tiers.NewWebCluster(k, []*tiers.WebAppServer{webPM}, 1, nil), src)
-		if err != nil {
-			return nil, err
-		}
-		drivers = append(drivers, drv)
-
-		collector = sysstat.NewCollector(k, cfg.KeepFullCatalog,
-			sysstat.Target{Name: TierWeb, Snap: pmSnapshot(k, webSrv, webOS)},
-			sysstat.Target{Name: TierDB, Snap: pmSnapshot(k, dbSrv, dbOS)},
-		)
-		defer func() {
-			res.WebPMCycles = webSrv.CPU.TotalCycles()
-			res.DBPMCycles = dbSrv.CPU.TotalCycles()
-		}()
-
-	default:
-		return nil, fmt.Errorf("experiment: unknown environment %q", cfg.Environment)
-	}
-
-	// Fault injection and the reaction side, wired only when
-	// configured: the fault timeline is expanded deterministically from
-	// the run seed before the kernel starts (injection consumes no
-	// randomness at run time), and the health monitor drives replica
-	// ejection/readmission and DB primary failover.
-	faulty := cfg.Faults != nil || cfg.Resilience != nil
-	var monitor *tiers.HealthMonitor
-	if cfg.Faults != nil && inst != nil {
-		tg := faults.Targets{
-			Webs:     topo.MaxWebReplicas,
-			DBs:      1 + topo.DBReadReplicas,
-			Machines: topo.Machines,
-		}
-		if inst.cacheSrv != nil {
-			tg.Caches = 1
-		}
-		if inst.queueSrv != nil {
-			tg.Queues = 1
-		}
-		res.FaultTimeline = cfg.Faults.Expand(cfg.Duration, tg, src)
-		inj := tiers.NewInjector(k, inst.cluster, inst.dbc, topo, res.FaultTimeline)
-		inj.SetAuxTiers(inst.cacheSrv, inst.queueSrv)
-		inj.Start()
-	}
-	if cfg.Resilience != nil && inst != nil {
-		monitor = tiers.NewHealthMonitor(k, inst.cluster, inst.dbc, *cfg.Resilience)
-		if inst.queueSrv != nil {
-			monitor.SetQueue(inst.queueSrv)
-		}
-		monitor.Start()
-	}
-
-	// The endogenous coupling layer: the load-reading crash hazard and
-	// the brownout controller both evaluate at window boundaries on the
-	// collector ticker (hooks registered below, after the drivers'
-	// rotation, in fixed order), so their in-run decisions are as
-	// deterministic as the pre-expanded timeline.
-	var hazard *tiers.Hazard
-	var overload *tiers.Overload
-	if cfg.Faults != nil && cfg.Faults.Hazard != nil && inst != nil {
-		hazard = tiers.NewHazard(k, inst.cluster, *cfg.Faults.Hazard, src.Stream("fault-hazard"))
-	}
-	if cfg.Resilience != nil && cfg.Resilience.Brownout != nil && inst != nil {
-		overload = tiers.NewOverload(inst.cluster, *cfg.Resilience.Brownout)
-		inst.cluster.SetOverload(overload)
-		for _, g := range guards {
-			g.SetOverload(overload)
+	// Optional series materialize before capacity is reserved. Every
+	// driver's telemetry window then rotates on the collector's sampling
+	// ticker, so latency windows and resource samples close at the same
+	// instants, in driver order; reserving the duration-derived window
+	// count up front keeps rotation allocation-free for the whole run.
+	for _, l := range layers {
+		if l.series != nil {
+			l.series()
 		}
 	}
-	if inst != nil && topo.Autoscaler != nil {
-		// Emergency backfill after an ejection pays the same
-		// provisioning delay as a scale-up.
-		inst.cluster.SetBackfillBoot(sim.Seconds(topo.Autoscaler.BootSeconds))
-	}
-
-	// Rotate every driver's telemetry window on the collector's
-	// sampling ticker: latency windows and resource samples close at
-	// the same instants, in deterministic driver order. Reserving the
-	// duration-derived window count up front keeps rotation
-	// allocation-free for the whole run.
 	windows := int(cfg.Duration / sysstat.SampleInterval)
-	if inst != nil && !topo.IsDegenerate() {
-		// Materialize the replicas series before capacity is reserved.
-		drivers[0].SetReplicaGauge(inst.cluster.ActiveReplicas)
+	for _, drv := range d.drivers {
+		drv.Recorder().ReserveWindows(windows)
+		d.collector.OnSample(drv.RotateWindow)
 	}
-	if faulty {
-		// Materialize the fault series before capacity is reserved.
-		for i, drv := range drivers {
-			var retries func() uint64
-			if i < len(guards) {
-				retries = guards[i].RetryCount
-			}
-			drv.EnableFaultTelemetry(retries)
+	for _, l := range layers {
+		if l.onWindow != nil {
+			d.collector.OnSample(l.onWindow)
 		}
 	}
-	if inst != nil && inst.cacheSrv != nil {
-		// Materialize the cache series before capacity is reserved. The
-		// driver differences the cumulative counters per window; store
-		// stats survive cold restarts, so the diff stays monotonic.
-		cs := inst.cacheSrv
-		drivers[0].EnableCacheTelemetry(func() (hits, misses, stampedes uint64) {
-			s := cs.Snapshot()
-			return s.Hits, s.Misses, s.Stampedes
-		})
-	}
-	if inst != nil && inst.queueSrv != nil {
-		// Materialize the queue depth/lag gauges before capacity is
-		// reserved.
-		qs := inst.queueSrv
-		drivers[0].EnableQueueTelemetry(qs.Depth, func() float64 { return qs.LagMs(k.Now()) })
-	}
-	if hazard != nil || overload != nil {
-		// Materialize the degradation series before capacity is
-		// reserved.
-		var level func() int
-		if overload != nil {
-			level = overload.Level
-		}
-		var rate func() float64
-		if hazard != nil {
-			rate = hazard.WindowRate
-		}
-		for _, drv := range drivers {
-			drv.EnableDegradationTelemetry(level, rate)
-		}
-	}
-	for _, drv := range drivers {
-		drv.ReserveWindows(windows)
-		collector.OnSample(drv.RotateWindow)
-	}
-	// Window-boundary actors run after rotation in fixed order: hazard
-	// crashes first, then the brownout controller re-levels, then the
-	// autoscaler decides — every run sees the identical sequence.
-	if hazard != nil {
-		collector.OnSample(hazard.OnSample)
-	}
-	if overload != nil {
-		collector.OnSample(overload.OnSample)
-	}
-	if inst != nil && topo.Autoscaler != nil {
-		// Registered after the drivers' RotateWindow hooks, so each
-		// sample the autoscaler sees the window that just closed.
-		scaler := tiers.NewAutoscaler(inst.cluster, drivers[0].Telemetry(), *topo.Autoscaler)
-		collector.OnSample(scaler.OnSample)
-	}
-	collector.Start()
-	startLoadTicker(k, collector)
-	for _, drv := range drivers {
+	d.collector.Start()
+	for _, drv := range d.drivers {
 		drv.Start()
 	}
-	k.Run(cfg.Duration)
+	d.k.Run(cfg.Duration)
 
-	res.Collector = collector
-	primary := drivers[0]
-	for _, drv := range drivers {
+	res := d.harvestDrivers()
+	d.harvest(res)
+	for _, l := range layers {
+		if l.harvest != nil {
+			l.harvest(res)
+		}
+	}
+	return res, nil
+}
+
+// deployment is one run's assembled testbed: the kernel and seed
+// source, the collector, one load generator per RUBiS instance
+// (instance 0 first) with its guard when a Resilience spec wraps
+// dispatch, and the VM instance the optional layers act on.
+type deployment struct {
+	cfg   Config
+	k     *sim.Kernel
+	src   *rng.Source
+	model rubis.Model
+
+	// apps holds the attached dataset views, one per instance.
+	apps      []*rubis.App
+	collector *sysstat.Collector
+	drivers   []tiers.LoadGen
+	guards    []*tiers.Guard
+	// webs lists every web server whose heap growth the result counts.
+	webs []*tiers.WebAppServer
+	// inst is instance 0 on the virtualized testbed; nil on the
+	// physical one.
+	inst *vmInstance
+	topo tiers.Topology
+	// harvest records the environment's own accounting: the
+	// hypervisor's attribution, or the physical hosts' cycle totals.
+	harvest func(*Result)
+}
+
+// attachDatasets attaches one dataset per RUBiS instance from the
+// process-wide golden snapshot cache: the first run for a (scale,
+// seed) pair populates and seals it, and every later run attaches a
+// copy-on-write view in microseconds.
+func (d *deployment) attachDatasets() error {
+	names := []string{"dataset"}
+	if d.cfg.Environment == Virtualized {
+		names = names[:0]
+		for p := 0; p < max(d.cfg.Pairs, 1); p++ {
+			names = append(names, fmt.Sprintf("dataset-%d", p))
+		}
+	}
+	for p, name := range names {
+		seed := d.src.SeedFor(name)
+		if d.cfg.DatasetSeed != 0 {
+			// Instance 0 (and the physical env) use the pinned seed
+			// directly, so a sweep's replications, and both
+			// environments, reuse one golden.
+			seed = d.cfg.DatasetSeed
+			if p > 0 {
+				seed = rng.NewSource(d.cfg.DatasetSeed).SeedFor(name)
+			}
+		}
+		a, err := rubis.SharedApp(d.cfg.Dataset, seed)
+		if err != nil {
+			return fmt.Errorf("experiment: %s: %w", name, err)
+		}
+		d.apps = append(d.apps, a)
+	}
+	return nil
+}
+
+// release returns the dataset views to their snapshot's pool; results
+// hold aggregated numbers, never engine state.
+func (d *deployment) release() {
+	for _, a := range d.apps {
+		a.Release()
+	}
+}
+
+// addDriver builds one instance's load generator over web: the paper's
+// closed loop when cfg.Load is nil, the open-loop generator otherwise,
+// each with its own RNG source (arrival processes are stateful). With a
+// Resilience spec the dispatch path is first wrapped in a guard
+// (timeouts, retries, breaker); without one the frontend is untouched.
+func (d *deployment) addDriver(app *rubis.App, web tiers.Frontend, src *rng.Source) error {
+	if d.cfg.Resilience != nil {
+		g := tiers.NewGuard(d.k, web, *d.cfg.Resilience, src.Stream("resilience-jitter"))
+		d.guards = append(d.guards, g)
+		web = g
+	}
+	costs := rubis.DefaultCostParams()
+	if d.cfg.Load == nil {
+		d.drivers = append(d.drivers, tiers.NewDriver(d.k, app, d.model, web, costs, d.cfg.Clients, src))
+		return nil
+	}
+	p, err := tiers.OpenParamsFromSpec(d.cfg.Load)
+	if err != nil {
+		return fmt.Errorf("experiment: building load spec: %w", err)
+	}
+	d.drivers = append(d.drivers, tiers.NewOpenDriver(d.k, app, d.model, web, costs, p, src))
+	return nil
+}
+
+// assembleVirtualized builds the Xen testbed: the topology's machines,
+// one RUBiS instance per consolidation pair, and the collector over
+// instance 0's targets.
+func (d *deployment) assembleVirtualized() error {
+	cfg := d.cfg
+	if cfg.Topology != nil {
+		d.topo = *cfg.Topology
+	}
+	d.topo = d.topo.Normalized()
+	xp := xen.DefaultParams()
+	if cfg.XenParams != nil {
+		xp = *cfg.XenParams
+	}
+	hvs := make([]*xen.Hypervisor, d.topo.Machines)
+	for m := range hvs {
+		hvs[m] = xen.New(d.k, hw.NewServer(d.k, hw.ProLiantSpec(fmt.Sprintf("host%d", m))), xp)
+	}
+	for p, app := range d.apps {
+		inst := buildVMInstance(d.k, hvs, d.topo, p, app, cfg.Cache, cfg.Queue)
+		if err := d.addDriver(app, inst.cluster, rng.NewSource(cfg.Seed+uint64(p)*7919)); err != nil {
+			return err
+		}
+		d.webs = append(d.webs, inst.cluster.Replicas...)
+		if p == 0 {
+			// The collector snapshots its targets when built, so it is
+			// built before later pairs' guests change dom0's counters.
+			d.inst = inst
+			d.collector = sysstat.NewCollector(d.k, cfg.KeepFullCatalog, vmTargets(d.k, hvs, d.topo, inst)...)
+		}
+	}
+	hv := hvs[0]
+	d.harvest = func(res *Result) {
+		res.Attribution = hv.Attribution()
+		res.GuestPhysCycles = hv.GuestPhysCycles()
+		res.PerfFinal = hv.PerfCounters()
+		res.Dom0BuffersMB = hv.Dom0().Mem.Get("backend-buffers") / 1e6
+	}
+	return nil
+}
+
+// assemblePhysical builds the two-server bare-metal testbed.
+func (d *deployment) assemblePhysical() error {
+	k, app := d.k, d.apps[0]
+	webSrv := hw.NewServer(k, hw.ProLiantSpec("web-pm"))
+	dbSrv := hw.NewServer(k, hw.ProLiantSpec("db-pm"))
+	webOS := osmodel.New("web-pm", webSrv.Mem, 140)
+	dbOS := osmodel.New("db-pm", dbSrv.Mem, 135)
+	webSrv.Mem.Set("kernel", 90e6)
+	dbSrv.Mem.Set("kernel", 90e6)
+
+	webBE := tiers.NewPMBackend(k, webSrv, dbSrv, tiers.DefaultPMParams("web"), d.src.Stream("pm-web-noise"), webOS)
+	dbBE := tiers.NewPMBackend(k, dbSrv, webSrv, tiers.DefaultPMParams("db"), d.src.Stream("pm-db-noise"), dbOS)
+	db := tiers.NewDBServer(k, dbBE, app, tiers.DefaultDBParams("pm"))
+	dbc := tiers.NewDBCluster(db, nil, 0)
+	paths := []tiers.PathPair{{To: tiers.PMPath(webBE), From: tiers.PMPath(dbBE)}}
+	webPM := tiers.NewWebAppServer(k, webBE, dbc, paths, tiers.DefaultWebParams("pm"))
+	d.webs = append(d.webs, webPM)
+	if err := d.addDriver(app, tiers.NewWebCluster(k, []*tiers.WebAppServer{webPM}, 1, nil), d.src); err != nil {
+		return err
+	}
+	d.collector = sysstat.NewCollector(k, d.cfg.KeepFullCatalog,
+		sysstat.Target{Name: TierWeb, Snap: pmSnapshot(k, webSrv, webOS)},
+		sysstat.Target{Name: TierDB, Snap: pmSnapshot(k, dbSrv, dbOS)},
+	)
+	d.harvest = func(res *Result) {
+		res.WebPMCycles = webSrv.CPU.TotalCycles()
+		res.DBPMCycles = dbSrv.CPU.TotalCycles()
+	}
+	return nil
+}
+
+// harvestDrivers builds the result from the drivers' outcomes: totals
+// summed across instances, latency and telemetry from instance 0.
+func (d *deployment) harvestDrivers() *Result {
+	res := &Result{Config: d.cfg, Collector: d.collector, Tiers: d.collector.TargetNames()}
+	for _, drv := range d.drivers {
 		completed, errors := drv.Totals()
 		res.Completed += completed
 		res.Errors += errors
@@ -628,245 +562,25 @@ func Run(cfg Config) (*Result, error) {
 			res.Sessions.PeakActive += od.Sessions.PeakActive
 		}
 	}
+	for _, w := range d.webs {
+		res.WebGrowths += w.Growths()
+	}
+	primary := d.drivers[0]
+	rec := primary.Recorder()
 	res.WriteFraction = primary.WriteFraction()
 	res.MeanRespTime = primary.MeanResponseTime()
 	res.P95RespTime = primary.ResponseTimeQuantile(0.95)
-	res.Telemetry = primary.Telemetry()
-	for _, w := range growthWebs {
-		res.WebGrowths += w.Growths()
-	}
+	res.Telemetry = rec.Series()
 	res.Interactions = primary.InteractionCounts()
-	res.Tiers = collector.TargetNames()
-	res.ServedHist, res.AbandonedHist = primary.Hists()
-	if inst != nil && !topo.IsDegenerate() {
-		res.ScaleEvents = inst.cluster.Events
-		st := &ScalingStats{PeakReplicas: inst.cluster.PeakActive()}
-		for _, e := range inst.cluster.Events {
-			switch e.Kind {
-			case "up":
-				st.ScaleUps++
-				if st.FirstUpAt == 0 {
-					st.FirstUpAt = e.At
-				}
-			case "down":
-				st.ScaleDowns++
-			}
-		}
-		res.Scaling = st
-		for _, w := range inst.cluster.Replicas {
-			res.ReplicaServed = append(res.ReplicaServed, w.Dispatched)
-		}
-	}
-	if faulty {
-		rs := &RequestStats{}
-		for _, drv := range drivers {
-			issued, served, timedOut, shed, failed, degraded := drv.RequestTotals()
-			rs.Issued += issued
-			rs.Served += served
-			rs.TimedOut += timedOut
-			rs.Shed += shed
-			rs.Failed += failed
-			rs.Degraded += degraded
-		}
-		rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
-		res.Requests = rs
-	}
-	if hazard != nil {
-		stats := hazard.Stats
-		res.Hazard = &stats
-	}
-	if overload != nil {
-		stats := overload.Stats
-		res.Brownout = &stats
-	}
-	if len(guards) > 0 {
-		stats := guards[0].Stats
-		res.Guard = &stats
-	}
-	if monitor != nil {
-		res.Failovers = monitor.Failovers
-	}
-	if inst != nil && inst.cacheSrv != nil {
-		stats := inst.cacheSrv.Snapshot()
-		res.Cache = &stats
-	}
-	if inst != nil && inst.queueSrv != nil {
-		stats := inst.queueSrv.Snapshot()
-		res.Queue = &stats
-	}
+	res.ServedHist, res.AbandonedHist = rec.RunHist(), rec.AbandonedHist()
 	for idx := 0; idx < rubis.NumInteractions; idx++ {
-		h := primary.KindHist(idx)
-		il := InteractionLatency{
+		h := rec.KindHist(idx)
+		res.PerInteraction = append(res.PerInteraction, InteractionLatency{
 			Kind:   string(rubis.InteractionAt(idx)),
 			Count:  h.Count(),
 			MeanMs: h.Mean() * 1e3,
 			P95Ms:  h.Quantile(0.95) * 1e3,
-		}
-		if inst != nil && inst.cacheSrv != nil {
-			il.CacheHits, il.CacheMisses = inst.cacheSrv.KindCounts(uint8(idx))
-		}
-		res.PerInteraction = append(res.PerInteraction, il)
+		})
 	}
-	if hv != nil {
-		res.Attribution = hv.Attribution()
-		res.GuestPhysCycles = hv.GuestPhysCycles()
-		res.PerfFinal = hv.PerfCounters()
-		res.Dom0BuffersMB = hv.Dom0().Mem.Get("backend-buffers") / 1e6
-	}
-	return res, nil
-}
-
-// startLoadTicker advances each monitored OS's load averages every
-// sample period (the collector reads them as gauges).
-func startLoadTicker(k *sim.Kernel, c *sysstat.Collector) {
-	// Load averages are updated inside the snapshot functions; nothing
-	// additional is needed here. Kept as a seam for future per-second
-	// kernel housekeeping.
-	_ = k
-	_ = c
-}
-
-// vmSnapshot builds the snapshot closure for a guest domain.
-func vmSnapshot(k *sim.Kernel, d *xen.Domain) func() sysstat.Snapshot {
-	var lastTick sim.Time
-	return func() sysstat.Snapshot {
-		now := k.Now()
-		d.OS.Tick(now - lastTick)
-		lastTick = now
-		l1, l5, l15 := d.OS.LoadAvg()
-		return sysstat.Snapshot{
-			At:             now,
-			CPUCycles:      d.VirtCycles(),
-			CPUBusy:        d.CPU.BusyTime(),
-			StealTime:      d.StealTime(),
-			Cores:          d.VCPUs,
-			FreqHz:         2.8e9,
-			MemTotal:       d.Mem.Capacity(),
-			MemUsed:        d.Mem.Used(),
-			MemBuffers:     d.Mem.Used() * 0.04,
-			MemCached:      d.Mem.Get("dbcache") + d.Mem.Get("pagecache"),
-			DiskReadBytes:  d.DiskReadBytes,
-			DiskWriteBytes: d.DiskWrittenBytes,
-			DiskReadOps:    d.DiskOps / 2,
-			DiskWriteOps:   d.DiskOps - d.DiskOps/2,
-			NetRxBytes:     d.NetRxBytes,
-			NetTxBytes:     d.NetTxBytes,
-			NetRxPkts:      uint64(d.NetRxBytes/1500) + 1,
-			NetTxPkts:      uint64(d.NetTxBytes/1500) + 1,
-			CtxSwitches:    d.OS.CtxSwitches,
-			Interrupts:     d.OS.Interrupts,
-			SoftIRQs:       d.OS.SoftIRQs,
-			Forks:          d.OS.Forks,
-			Faults:         d.OS.Faults,
-			MajFaults:      d.OS.MajFaults,
-			PgInBytes:      d.OS.PgInBytes,
-			PgOutBytes:     d.OS.PgOutBytes,
-			Procs:          d.OS.Procs,
-			RunQueue:       d.OS.RunQueue,
-			Blocked:        d.OS.Blocked,
-			OpenFds:        d.OS.OpenFds,
-			TCPSocks:       40 + d.OS.RunQueue*2,
-			UDPSocks:       4,
-			Load1:          l1, Load5: l5, Load15: l15,
-		}
-	}
-}
-
-// dom0Snapshot builds the snapshot closure for the hypervisor's dom0:
-// its own CPU plus the physical disk and NIC it drives for the guests.
-func dom0Snapshot(k *sim.Kernel, hv *xen.Hypervisor) func() sysstat.Snapshot {
-	var lastTick sim.Time
-	d := hv.Dom0()
-	host := hv.Host()
-	return func() sysstat.Snapshot {
-		now := k.Now()
-		d.OS.Tick(now - lastTick)
-		lastTick = now
-		l1, l5, l15 := d.OS.LoadAvg()
-		rops, wops := host.Disk.Ops()
-		rpk, tpk := host.NIC.Packets()
-		return sysstat.Snapshot{
-			At:             now,
-			CPUCycles:      d.CPU.TotalCycles(),
-			CPUBusy:        d.CPU.BusyTime(),
-			Cores:          d.VCPUs,
-			FreqHz:         host.Spec.FreqHz,
-			MemTotal:       d.Mem.Capacity(),
-			MemUsed:        d.Mem.Used(),
-			MemBuffers:     d.Mem.Get("backend-buffers"),
-			MemCached:      d.Mem.Get("pagecache"),
-			DiskReadBytes:  host.Disk.ReadBytes(),
-			DiskWriteBytes: host.Disk.WrittenBytes(),
-			DiskReadOps:    rops,
-			DiskWriteOps:   wops,
-			DiskBusy:       host.Disk.BusyTime(),
-			NetRxBytes:     host.NIC.RxBytes(),
-			NetTxBytes:     host.NIC.TxBytes(),
-			NetRxPkts:      rpk,
-			NetTxPkts:      tpk,
-			CtxSwitches:    d.OS.CtxSwitches,
-			Interrupts:     d.OS.Interrupts,
-			SoftIRQs:       d.OS.SoftIRQs,
-			Forks:          d.OS.Forks,
-			Faults:         d.OS.Faults,
-			MajFaults:      d.OS.MajFaults,
-			PgInBytes:      d.OS.PgInBytes,
-			PgOutBytes:     d.OS.PgOutBytes,
-			Procs:          d.OS.Procs,
-			RunQueue:       d.OS.RunQueue,
-			Blocked:        d.OS.Blocked,
-			OpenFds:        d.OS.OpenFds,
-			TCPSocks:       35,
-			UDPSocks:       6,
-			Load1:          l1, Load5: l5, Load15: l15,
-		}
-	}
-}
-
-// pmSnapshot builds the snapshot closure for a bare-metal server.
-func pmSnapshot(k *sim.Kernel, srv *hw.Server, os *osmodel.OS) func() sysstat.Snapshot {
-	var lastTick sim.Time
-	return func() sysstat.Snapshot {
-		now := k.Now()
-		os.Tick(now - lastTick)
-		lastTick = now
-		l1, l5, l15 := os.LoadAvg()
-		rops, wops := srv.Disk.Ops()
-		rpk, tpk := srv.NIC.Packets()
-		return sysstat.Snapshot{
-			At:             now,
-			CPUCycles:      srv.CPU.TotalCycles(),
-			CPUBusy:        srv.CPU.BusyTime(),
-			Cores:          srv.Spec.Cores,
-			FreqHz:         srv.Spec.FreqHz,
-			MemTotal:       srv.Mem.Capacity(),
-			MemUsed:        srv.Mem.Used(),
-			MemBuffers:     srv.Mem.Used() * 0.05,
-			MemCached:      srv.Mem.Get("dbcache") + srv.Mem.Get("pagecache"),
-			DiskReadBytes:  srv.Disk.ReadBytes(),
-			DiskWriteBytes: srv.Disk.WrittenBytes(),
-			DiskReadOps:    rops,
-			DiskWriteOps:   wops,
-			DiskBusy:       srv.Disk.BusyTime(),
-			NetRxBytes:     srv.NIC.RxBytes(),
-			NetTxBytes:     srv.NIC.TxBytes(),
-			NetRxPkts:      rpk,
-			NetTxPkts:      tpk,
-			CtxSwitches:    os.CtxSwitches,
-			Interrupts:     os.Interrupts,
-			SoftIRQs:       os.SoftIRQs,
-			Forks:          os.Forks,
-			Faults:         os.Faults,
-			MajFaults:      os.MajFaults,
-			PgInBytes:      os.PgInBytes,
-			PgOutBytes:     os.PgOutBytes,
-			Procs:          os.Procs,
-			RunQueue:       os.RunQueue,
-			Blocked:        os.Blocked,
-			OpenFds:        os.OpenFds,
-			TCPSocks:       60 + os.RunQueue*2,
-			UDPSocks:       5,
-			Load1:          l1, Load5: l5, Load15: l15,
-		}
-	}
+	return res
 }

@@ -316,6 +316,10 @@ func TestConsolidationValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("six pairs exceed the ten-VM limit and should error")
 	}
+	cfg.Pairs = -1
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("negative pairs should error")
+	}
 }
 
 func TestConsolidationRunsMultiplePairs(t *testing.T) {

@@ -22,7 +22,7 @@ type Injector struct {
 	topo    Topology
 	baseLag sim.Time
 
-	// cacheSrv/queueSrv, when wired, receive CacheDown/Up and
+	// cacheSrv/queueSrv, when non-nil, receive CacheDown/Up and
 	// QueueDown/Up events (single-instance tiers).
 	cacheSrv *CacheServer
 	queueSrv *QueueServer
@@ -31,27 +31,24 @@ type Injector struct {
 	idx    int
 }
 
-// SetAuxTiers wires the cache and queue nodes into fault injection;
-// nil leaves the corresponding events inert.
-func (inj *Injector) SetAuxTiers(c *CacheServer, q *QueueServer) {
-	inj.cacheSrv = c
-	inj.queueSrv = q
-}
-
 // NewInjector wires the injector; call Start to arm the timeline.
 // events must be sorted by time (faults.Schedule.Expand guarantees it).
-func NewInjector(k *sim.Kernel, web *WebCluster, dbc *DBCluster, topo Topology, events []faults.Event) *Injector {
+// cacheSrv and queueSrv receive the aux-tier events; nil leaves them
+// inert.
+func NewInjector(k *sim.Kernel, web *WebCluster, dbc *DBCluster, cacheSrv *CacheServer, queueSrv *QueueServer, topo Topology, events []faults.Event) *Injector {
 	dbs := make([]*DBServer, 0, dbc.Instances())
 	dbs = append(dbs, dbc.Primary)
 	dbs = append(dbs, dbc.Replicas...)
 	return &Injector{
-		k:       k,
-		web:     web,
-		dbc:     dbc,
-		dbs:     dbs,
-		topo:    topo,
-		baseLag: dbc.Lag,
-		events:  events,
+		k:        k,
+		web:      web,
+		dbc:      dbc,
+		dbs:      dbs,
+		topo:     topo,
+		baseLag:  dbc.Lag,
+		cacheSrv: cacheSrv,
+		queueSrv: queueSrv,
+		events:   events,
 	}
 }
 

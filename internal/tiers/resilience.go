@@ -407,7 +407,7 @@ type HealthMonitor struct {
 	primarySeen   bool
 	primaryDownAt sim.Time
 
-	// queue, when wired, gets its DB paths swapped on promotion exactly
+	// queue, when non-nil, gets its DB paths swapped on promotion exactly
 	// like the web replicas, so drains follow the new primary.
 	queue *QueueServer
 
@@ -415,16 +415,16 @@ type HealthMonitor struct {
 	Failovers []FailoverEvent
 }
 
-// SetQueue wires the write-behind broker into failover path swapping.
-func (hm *HealthMonitor) SetQueue(q *QueueServer) { hm.queue = q }
-
 // NewHealthMonitor wires the monitor; call Start to begin probing.
-func NewHealthMonitor(k *sim.Kernel, web *WebCluster, dbc *DBCluster, spec faults.ResilienceSpec) *HealthMonitor {
+// queue, when non-nil, is the write-behind broker whose DB paths
+// follow a failover.
+func NewHealthMonitor(k *sim.Kernel, web *WebCluster, dbc *DBCluster, queue *QueueServer, spec faults.ResilienceSpec) *HealthMonitor {
 	spec = spec.WithDefaults()
 	return &HealthMonitor{
 		k:          k,
 		web:        web,
 		dbc:        dbc,
+		queue:      queue,
 		every:      sim.Seconds(spec.HealthEverySeconds),
 		ejectAfter: spec.EjectAfterChecks,
 		detect:     sim.Seconds(spec.FailoverDetectSeconds),

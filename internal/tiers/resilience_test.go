@@ -180,7 +180,7 @@ func TestClusterFastFailWithNoActiveReplica(t *testing.T) {
 func TestHealthMonitorEjectReadmit(t *testing.T) {
 	k, drv := newStubClusterRig(t, 3, LBRoundRobin)
 	fe := drv.web.(*WebCluster)
-	hm := NewHealthMonitor(k, fe, nil, faults.ResilienceSpec{HealthEverySeconds: 1, EjectAfterChecks: 2})
+	hm := NewHealthMonitor(k, fe, nil, nil, faults.ResilienceSpec{HealthEverySeconds: 1, EjectAfterChecks: 2})
 	hm.Start()
 	drv.Start()
 	// Crash off the tick grid so each subsequent Run horizon contains a
@@ -237,7 +237,7 @@ func TestFailoverPromotion(t *testing.T) {
 	}
 	web := NewWebAppServer(k, be, dbc, paths, DefaultWebParams("vm"))
 	fe := NewWebCluster(k, []*WebAppServer{web}, 1, NewLoadBalancer(LBRoundRobin))
-	hm := NewHealthMonitor(k, fe, dbc, faults.ResilienceSpec{HealthEverySeconds: 1, FailoverDetectSeconds: 3})
+	hm := NewHealthMonitor(k, fe, dbc, nil, faults.ResilienceSpec{HealthEverySeconds: 1, FailoverDetectSeconds: 3})
 	hm.Start()
 	k.Run(2 * sim.Second)
 	primary.crash()

@@ -107,7 +107,7 @@ func TestDriverStatsWindowChurnSeries(t *testing.T) {
 	s.rec.NoteEnd()
 	s.RotateWindow(0)
 
-	w := s.Telemetry()
+	w := s.Recorder().Series()
 	if w.Windows() != 2 {
 		t.Fatalf("windows = %d", w.Windows())
 	}

@@ -68,8 +68,8 @@ type Hypervisor struct {
 	dom0   *Domain
 	guests []*Domain
 
-	// dom0 attribution split (see DESIGN.md §4): backend work is caused
-	// by guest I/O; own work is management activity.
+	// dom0 attribution split (see the package doc): backend work is
+	// caused by guest I/O; own work is management activity.
 	dom0BackendCycles    float64
 	dom0OwnCycles        float64
 	dom0BackendDiskBytes float64

@@ -13,8 +13,8 @@
 //	fig1, _ := vwchar.BuildFigure(1, pair.Browse, pair.Bid)
 //	report := vwchar.Characterize(virtPair, physPair)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison.
+// See README.md for a tour of the subsystems; cmd/figures regenerates
+// the paper's figures, Table 1 and the characterization report.
 package vwchar
 
 import (
