@@ -246,6 +246,50 @@ func TestFullCatalogRecording(t *testing.T) {
 	}
 }
 
+// TestFullCatalogBitIdenticalOnRerun runs one virtualized config twice
+// and compares every full-catalog series bit for bit. Memory components
+// used to be summed in map order, so dom0's memory series and the
+// metrics derived from it differed in their last bits between reruns.
+func TestFullCatalogBitIdenticalOnRerun(t *testing.T) {
+	cfg := shortConfig(Virtualized, MixBidding)
+	cfg.KeepFullCatalog = true
+	cfg.Clients = 80
+	cfg.Duration = 45 * sim.Second
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for _, target := range a.Collector.TargetNames() {
+		for _, metric := range a.Collector.MetricNames() {
+			sa, err := a.Collector.Metric(target, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := b.Collector.Metric(target, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sa.Len() != sb.Len() {
+				t.Fatalf("%s/%s: %d samples, rerun %d", target, metric, sa.Len(), sb.Len())
+			}
+			for i := range sa.Values {
+				if math.Float64bits(sa.Values[i]) != math.Float64bits(sb.Values[i]) {
+					t.Fatalf("%s/%s sample %d: %v, rerun %v", target, metric, i, sa.Values[i], sb.Values[i])
+				}
+			}
+			compared++
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no full-catalog series recorded")
+	}
+}
+
 func TestFigureSpecsAndBuild(t *testing.T) {
 	specs := FigureSpecs()
 	if len(specs) != 8 {

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 
 	"vwchar/internal/sim"
 )
@@ -187,10 +188,13 @@ func (n *NIC) TxBytes() float64 { return n.txBytes }
 func (n *NIC) Packets() (rx, tx uint64) { return n.rxPackets, n.txPackets }
 
 // Memory tracks RAM usage against a capacity. Usage is labeled so the OS
-// model can expose kernel/app/cache components separately.
+// model can expose kernel/app/cache components separately. Components
+// are kept in the order they were first set, so Used sums them in a
+// fixed order and its float total is the same on every run.
 type Memory struct {
 	capacity float64
-	used     map[string]float64
+	labels   []string
+	bytes    []float64
 }
 
 // NewMemory builds a memory of the given capacity in bytes.
@@ -198,39 +202,58 @@ func NewMemory(capacity float64) *Memory {
 	if capacity <= 0 {
 		panic("hw: memory needs positive capacity")
 	}
-	return &Memory{capacity: capacity, used: make(map[string]float64)}
+	return &Memory{capacity: capacity}
 }
 
 // Capacity reports total bytes.
 func (m *Memory) Capacity() float64 { return m.capacity }
 
-// Set fixes the usage of a labeled component (e.g. "pagecache").
-func (m *Memory) Set(label string, bytes float64) {
-	if bytes <= 0 {
-		delete(m.used, label)
-		return
+// find returns the position of label, or -1.
+func (m *Memory) find(label string) int {
+	for i, l := range m.labels {
+		if l == label {
+			return i
+		}
 	}
-	m.used[label] = bytes
+	return -1
+}
+
+// Set fixes the usage of a labeled component (e.g. "pagecache"). A
+// non-positive value removes the component.
+func (m *Memory) Set(label string, bytes float64) {
+	i := m.find(label)
+	switch {
+	case bytes <= 0:
+		if i >= 0 {
+			m.labels = slices.Delete(m.labels, i, i+1)
+			m.bytes = slices.Delete(m.bytes, i, i+1)
+		}
+	case i >= 0:
+		m.bytes[i] = bytes
+	default:
+		m.labels = append(m.labels, label)
+		m.bytes = append(m.bytes, bytes)
+	}
 }
 
 // Get reports the usage of a labeled component.
-func (m *Memory) Get(label string) float64 { return m.used[label] }
+func (m *Memory) Get(label string) float64 {
+	if i := m.find(label); i >= 0 {
+		return m.bytes[i]
+	}
+	return 0
+}
 
 // Add adjusts a labeled component by delta, clamping at zero.
 func (m *Memory) Add(label string, delta float64) {
-	v := m.used[label] + delta
-	if v <= 0 {
-		delete(m.used, label)
-		return
-	}
-	m.used[label] = v
+	m.Set(label, m.Get(label)+delta)
 }
 
 // Used reports total bytes in use across all components, clamped to
 // capacity.
 func (m *Memory) Used() float64 {
 	total := 0.0
-	for _, v := range m.used {
+	for _, v := range m.bytes {
 		total += v
 	}
 	if total > m.capacity {

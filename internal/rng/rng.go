@@ -49,7 +49,7 @@ func NewSource(seed uint64) *Source { return &Source{seed: seed} }
 // twice with the same name yields independent generators with identical
 // state, so callers should create each stream once and keep it.
 func (s *Source) Stream(name string) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(s.SeedFor(name))))}
+	return NewStream(s.SeedFor(name))
 }
 
 // SeedFor derives the well-mixed 64-bit root seed for the named
@@ -65,13 +65,22 @@ func (s *Source) SeedFor(name string) uint64 {
 // returned by Source.SeedFor. NewStream(src.SeedFor(name)) is
 // byte-identical to src.Stream(name), which lets callers store the seed
 // (a comparable cache key) and reconstruct the exact stream later.
+//
+// The stream's source reproduces rand.NewSource(int64(seed)) bit for
+// bit (see alfgSource), so every draw matches a math/rand stream built
+// from the same seed, at a fraction of math/rand's seeding cost.
 func NewStream(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(seed)))}
+	s := new(Stream)
+	s.src.Seed(int64(seed))
+	s.r = rand.New(&s.src)
+	return s
 }
 
 // Stream is a deterministic random stream with distribution helpers.
+// The distributions come from a *rand.Rand over the embedded source.
 type Stream struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src alfgSource
 }
 
 // Float64 returns a uniform draw in [0,1).

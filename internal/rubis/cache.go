@@ -17,21 +17,64 @@ package rubis
 // NumInteractions is the number of distinct RUBiS interaction kinds.
 const NumInteractions = 26
 
-// interactionIndex maps each kind to its dense index in
-// AllInteractions() order.
-var interactionIndex = func() map[Interaction]uint8 {
-	m := make(map[Interaction]uint8, NumInteractions)
-	for i, k := range AllInteractions() {
-		m[k] = uint8(i)
-	}
-	return m
-}()
-
 // Index returns the kind's dense index in AllInteractions() order, or
-// -1 for an unknown kind.
+// -1 for an unknown kind. It is a switch rather than a map lookup
+// because the request path asks once per transition and once per
+// executed interaction.
 func (i Interaction) Index() int {
-	if idx, ok := interactionIndex[i]; ok {
-		return int(idx)
+	switch i {
+	case Home:
+		return 0
+	case Register:
+		return 1
+	case RegisterUser:
+		return 2
+	case Browse:
+		return 3
+	case BrowseCategories:
+		return 4
+	case SearchItemsInCategory:
+		return 5
+	case BrowseRegions:
+		return 6
+	case BrowseCategoriesInRegion:
+		return 7
+	case SearchItemsInRegion:
+		return 8
+	case ViewItem:
+		return 9
+	case ViewUserInfo:
+		return 10
+	case ViewBidHistory:
+		return 11
+	case BuyNowAuth:
+		return 12
+	case BuyNow:
+		return 13
+	case StoreBuyNow:
+		return 14
+	case PutBidAuth:
+		return 15
+	case PutBid:
+		return 16
+	case StoreBid:
+		return 17
+	case PutCommentAuth:
+		return 18
+	case PutComment:
+		return 19
+	case StoreComment:
+		return 20
+	case Sell:
+		return 21
+	case SelectCategoryToSellItem:
+		return 22
+	case SellItemForm:
+		return 23
+	case RegisterItem:
+		return 24
+	case AboutMe:
+		return 25
 	}
 	return -1
 }

@@ -166,18 +166,38 @@ const (
 	searchLimit  = 20  // items per result page
 )
 
-// query executes fn against the engine, capturing its receipt.
-func (a *App) query(res *Result, replyBytes float64, fn func() error) error {
-	snap := a.Engine.Snapshot()
-	if err := fn(); err != nil {
-		return err
-	}
+// record appends the cost of the query that began at meter snapshot
+// snap.
+func (a *App) record(res *Result, snap rubisdb.Meter, replyBytes float64) {
 	res.Queries = append(res.Queries, QueryCost{
 		Receipt:      a.Engine.ReceiptSince(snap),
 		RequestBytes: queryReqBase,
 		ReplyBytes:   replyBytes,
 	})
-	return nil
+}
+
+// collect returns int64 column out of up to limit tuples of t whose
+// indexed column col equals key, in index order. The slice is the App's
+// scratch and is overwritten by the next collect.
+func (a *App) collect(t *rubisdb.Table, col int, key int64, limit, out int) ([]int64, error) {
+	ids := a.ids[:0]
+	err := t.Scan(col, key, key, limit, func(tuple []byte) bool {
+		ids = append(ids, t.Schema.Int64At(tuple, out))
+		return true
+	})
+	a.ids = ids
+	return ids, err
+}
+
+// count counts up to limit tuples of t whose indexed column col equals
+// key, fetching each one as a listing page does.
+func count(t *rubisdb.Table, col int, key int64, limit int) (int, error) {
+	n := 0
+	err := t.Scan(col, key, key, limit, func([]byte) bool {
+		n++
+		return true
+	})
+	return n, err
 }
 
 // Execute runs one interaction against the database and returns its cost
@@ -200,6 +220,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 	*res = Result{Interaction: kind, Queries: res.Queries[:0]}
 	rowsListed := 0.0
 
+	c := &a.cols
 	switch kind {
 	case Home, Register, Browse, BuyNowAuth, PutBidAuth, PutCommentAuth, Sell, SellItemForm:
 		// Static pages: no DB work.
@@ -217,179 +238,156 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		sess.RegionID = int64(r.Categorical(a.regWeights))
 
 	case SearchItemsInCategory:
-		var items []rubisdb.Row
-		err := a.query(res, 0, func() error {
-			var err error
-			items, err = a.items.LookupBy("category", sess.CategoryID, searchLimit)
-			return err
-		})
+		snap := a.Engine.Snapshot()
+		items, err := a.collect(a.items, c.itemCategory, sess.CategoryID, searchLimit, c.itemID)
 		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(len(items)) * rowItemList
+		a.record(res, snap, float64(len(items))*rowItemList)
 		rowsListed = float64(len(items))
 		if len(items) > 0 {
-			sess.ItemID = items[r.Intn(len(items))][0].(int64)
+			sess.ItemID = items[r.Intn(len(items))]
 		}
 
 	case SearchItemsInRegion:
 		// One join query: sellers in the region and a few items each.
-		count := 0
-		err := a.query(res, 0, func() error {
-			sellers, err := a.users.LookupBy("region", sess.RegionID, 8)
+		snap := a.Engine.Snapshot()
+		sellers, err := a.collect(a.users, c.userRegion, sess.RegionID, 8, c.userID)
+		if err != nil {
+			return err
+		}
+		total := 0
+		for _, seller := range sellers {
+			n := 0
+			err := a.items.Scan(c.itemSeller, seller, seller, 3, func(tuple []byte) bool {
+				if n == 0 {
+					sess.ItemID = a.items.Schema.Int64At(tuple, c.itemID)
+				}
+				n++
+				return true
+			})
 			if err != nil {
 				return err
 			}
-			for _, s := range sellers {
-				items, err := a.items.LookupBy("seller", s[0].(int64), 3)
-				if err != nil {
-					return err
-				}
-				count += len(items)
-				if len(items) > 0 {
-					sess.ItemID = items[0][0].(int64)
-				}
-			}
-			return nil
+			total += n
+		}
+		a.record(res, snap, float64(total)*rowItemList)
+		rowsListed = float64(total)
+
+	case ViewItem:
+		snap := a.Engine.Snapshot()
+		var seller int64
+		found, err := a.items.Get(sess.ItemID, func(tuple []byte) {
+			seller = a.items.Schema.Int64At(tuple, c.itemSeller)
 		})
 		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(count) * rowItemList
-		rowsListed = float64(count)
-
-	case ViewItem:
-		var item rubisdb.Row
-		if err := a.query(res, rowItemFull, func() error {
-			var err error
-			item, err = a.items.GetByPK(sess.ItemID)
-			return err
-		}); err != nil {
-			return err
-		}
-		if item != nil {
-			sess.ToUserID = item[3].(int64)
-			if err := a.query(res, rowUser, func() error {
-				_, err := a.users.GetByPK(item[3].(int64))
-				return err
-			}); err != nil {
+		a.record(res, snap, rowItemFull)
+		if found {
+			sess.ToUserID = seller
+			snap = a.Engine.Snapshot()
+			if _, err := a.users.Get(seller, nil); err != nil {
 				return err
 			}
+			a.record(res, snap, rowUser)
 		}
-		if err := a.query(res, 16, func() error {
-			_, err := a.bids.CountBy("item", sess.ItemID, sess.ItemID)
-			return err
-		}); err != nil {
+		snap = a.Engine.Snapshot()
+		if _, err := a.bids.Count(c.bidItem, sess.ItemID, sess.ItemID); err != nil {
 			return err
 		}
+		a.record(res, snap, 16)
 		rowsListed = 2
 
 	case ViewUserInfo:
-		if err := a.query(res, rowUser, func() error {
-			_, err := a.users.GetByPK(sess.ToUserID)
-			return err
-		}); err != nil {
+		snap := a.Engine.Snapshot()
+		if _, err := a.users.Get(sess.ToUserID, nil); err != nil {
 			return err
 		}
-		var n int
-		if err := a.query(res, 0, func() error {
-			rows, err := a.comments.LookupBy("to_user", sess.ToUserID, 10)
-			n = len(rows)
-			return err
-		}); err != nil {
+		a.record(res, snap, rowUser)
+		snap = a.Engine.Snapshot()
+		n, err := count(a.comments, c.commentToUser, sess.ToUserID, 10)
+		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(n) * rowComment
+		a.record(res, snap, float64(n)*rowComment)
 		rowsListed = float64(n)
 
 	case ViewBidHistory:
-		if err := a.query(res, rowItemList, func() error {
-			_, err := a.items.GetByPK(sess.ItemID)
-			return err
-		}); err != nil {
+		snap := a.Engine.Snapshot()
+		if _, err := a.items.Get(sess.ItemID, nil); err != nil {
 			return err
 		}
+		a.record(res, snap, rowItemList)
 		// One join query: bids for the item with their bidders' names.
-		var history []rubisdb.Row
-		if err := a.query(res, 0, func() error {
-			var err error
-			history, err = a.bids.LookupBy("item", sess.ItemID, 8)
-			if err != nil {
+		snap = a.Engine.Snapshot()
+		bidders, err := a.collect(a.bids, c.bidItem, sess.ItemID, 8, c.bidUser)
+		if err != nil {
+			return err
+		}
+		for _, u := range bidders {
+			if _, err := a.users.Get(u, nil); err != nil {
 				return err
 			}
-			for _, b := range history {
-				if _, err := a.users.GetByPK(b[1].(int64)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(len(history)) * (rowBid + rowUser)
-		rowsListed = float64(len(history))
+		a.record(res, snap, float64(len(bidders))*(rowBid+rowUser))
+		rowsListed = float64(len(bidders))
 
 	case BuyNow, PutBid:
-		if err := a.query(res, rowItemFull, func() error {
-			_, err := a.items.GetByPK(sess.ItemID)
-			return err
-		}); err != nil {
+		snap := a.Engine.Snapshot()
+		if _, err := a.items.Get(sess.ItemID, nil); err != nil {
 			return err
 		}
+		a.record(res, snap, rowItemFull)
 		if kind == PutBid {
-			if err := a.query(res, 16, func() error {
-				_, err := a.bids.CountBy("item", sess.ItemID, sess.ItemID)
-				return err
-			}); err != nil {
+			snap = a.Engine.Snapshot()
+			if _, err := a.bids.Count(c.bidItem, sess.ItemID, sess.ItemID); err != nil {
 				return err
 			}
+			a.record(res, snap, 16)
 		}
 		rowsListed = 1
 
 	case PutComment:
-		if err := a.query(res, rowUser, func() error {
-			_, err := a.users.GetByPK(sess.ToUserID)
-			return err
-		}); err != nil {
+		snap := a.Engine.Snapshot()
+		if _, err := a.users.Get(sess.ToUserID, nil); err != nil {
 			return err
 		}
-		if err := a.query(res, rowItemList, func() error {
-			_, err := a.items.GetByPK(sess.ItemID)
-			return err
-		}); err != nil {
+		a.record(res, snap, rowUser)
+		snap = a.Engine.Snapshot()
+		if _, err := a.items.Get(sess.ItemID, nil); err != nil {
 			return err
 		}
+		a.record(res, snap, rowItemList)
 		rowsListed = 1
 
 	case RegisterUser:
 		res.IsWrite = true
 		id := a.nextUserID
 		a.nextUserID++
-		if err := a.query(res, 24, func() error {
-			_, err := a.users.Insert(rubisdb.Row{
-				id, fmt.Sprintf("user%06d", id),
-				int64(r.Intn(a.Config.Regions)), int64(0), 0.0,
-			})
-			return err
+		snap := a.Engine.Snapshot()
+		if _, err := a.users.Insert(rubisdb.Row{
+			id, paddedName("user", int(id), 6),
+			int64(r.Intn(a.Config.Regions)), int64(0), 0.0,
 		}); err != nil {
 			return err
 		}
+		a.record(res, snap, 24)
 
 	case RegisterItem:
 		res.IsWrite = true
 		id := a.nextItemID
 		a.nextItemID++
 		price := r.Uniform(1, 500)
-		if err := a.query(res, 24, func() error {
-			_, err := a.items.Insert(rubisdb.Row{
-				id, fmt.Sprintf("item-%06d", id), itemDescription,
-				sess.UserID, sess.CategoryID, price, price,
-				int64(0), int64(1), price * 1.6, int64(0),
-			})
-			return err
+		snap := a.Engine.Snapshot()
+		if _, err := a.items.Insert(rubisdb.Row{
+			id, paddedName("item-", int(id), 6), itemDescription,
+			sess.UserID, sess.CategoryID, price, price,
+			int64(0), int64(1), price * 1.6, int64(0),
 		}); err != nil {
 			return err
 		}
+		a.record(res, snap, 24)
 		sess.ItemID = id
 
 	case StoreBid:
@@ -397,93 +395,82 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		id := a.nextBidID
 		a.nextBidID++
 		amount := r.Uniform(1, 900)
-		if err := a.query(res, 24, func() error {
-			_, err := a.bids.Insert(rubisdb.Row{
-				id, sess.UserID, sess.ItemID, int64(1), amount, int64(0),
-			})
-			return err
+		snap := a.Engine.Snapshot()
+		if _, err := a.bids.Insert(rubisdb.Row{
+			id, sess.UserID, sess.ItemID, int64(1), amount, int64(0),
 		}); err != nil {
 			return err
 		}
-		if err := a.query(res, 16, func() error {
-			row, err := a.items.GetByPK(sess.ItemID)
-			if err != nil {
+		a.record(res, snap, 24)
+		snap = a.Engine.Snapshot()
+		var nbBids int64
+		found, err := a.items.Get(sess.ItemID, func(tuple []byte) {
+			nbBids = a.items.Schema.Int64At(tuple, c.itemNbBids)
+		})
+		if err != nil {
+			return err
+		}
+		if found {
+			if err := a.items.UpdateNumeric(sess.ItemID,
+				rubisdb.SetFloat64(c.itemMaxBid, amount),
+				rubisdb.SetInt64(c.itemNbBids, nbBids+1),
+			); err != nil {
 				return err
 			}
-			if row == nil {
-				return nil
-			}
-			return a.items.UpdateNumeric(sess.ItemID, map[string]any{
-				"max_bid": amount,
-				"nb_bids": row[7].(int64) + 1,
-			})
-		}); err != nil {
-			return err
 		}
+		a.record(res, snap, 16)
 
 	case StoreBuyNow:
 		res.IsWrite = true
 		id := a.nextBuyNowID
 		a.nextBuyNowID++
-		if err := a.query(res, 24, func() error {
-			_, err := a.buyNow.Insert(rubisdb.Row{
-				id, sess.UserID, sess.ItemID, int64(1), int64(0),
-			})
-			return err
+		snap := a.Engine.Snapshot()
+		if _, err := a.buyNow.Insert(rubisdb.Row{
+			id, sess.UserID, sess.ItemID, int64(1), int64(0),
 		}); err != nil {
 			return err
 		}
+		a.record(res, snap, 24)
 
 	case StoreComment:
 		res.IsWrite = true
 		id := a.nextCommentID
 		a.nextCommentID++
-		if err := a.query(res, 24, func() error {
-			_, err := a.comments.Insert(rubisdb.Row{
-				id, sess.UserID, sess.ToUserID, sess.ItemID,
-				int64(r.Intn(10)),
-				"Great seller, fast shipping, item exactly as described.",
-			})
-			return err
+		snap := a.Engine.Snapshot()
+		if _, err := a.comments.Insert(rubisdb.Row{
+			id, sess.UserID, sess.ToUserID, sess.ItemID,
+			int64(r.Intn(10)),
+			"Great seller, fast shipping, item exactly as described.",
 		}); err != nil {
 			return err
 		}
+		a.record(res, snap, 24)
 
 	case AboutMe:
-		if err := a.query(res, rowUser, func() error {
-			_, err := a.users.GetByPK(sess.UserID)
-			return err
-		}); err != nil {
+		snap := a.Engine.Snapshot()
+		if _, err := a.users.Get(sess.UserID, nil); err != nil {
 			return err
 		}
-		var n int
-		if err := a.query(res, 0, func() error {
-			rows, err := a.items.LookupBy("seller", sess.UserID, 5)
-			n = len(rows)
-			return err
-		}); err != nil {
+		a.record(res, snap, rowUser)
+		snap = a.Engine.Snapshot()
+		n, err := count(a.items, c.itemSeller, sess.UserID, 5)
+		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(n) * rowItemList
-		var bids []rubisdb.Row
-		if err := a.query(res, 0, func() error {
-			var err error
-			bids, err = a.bids.LookupBy("user", sess.UserID, 10)
-			return err
-		}); err != nil {
+		a.record(res, snap, float64(n)*rowItemList)
+		snap = a.Engine.Snapshot()
+		nb, err := count(a.bids, c.bidUser, sess.UserID, 10)
+		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(len(bids)) * rowBid
-		var nc int
-		if err := a.query(res, 0, func() error {
-			rows, err := a.comments.LookupBy("to_user", sess.UserID, 5)
-			nc = len(rows)
-			return err
-		}); err != nil {
+		a.record(res, snap, float64(nb)*rowBid)
+		snap = a.Engine.Snapshot()
+		nc, err := count(a.comments, c.commentToUser, sess.UserID, 5)
+		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(nc) * rowComment
-		rowsListed = float64(n + len(bids) + nc)
+		a.record(res, snap, float64(nc)*rowComment)
+		rowsListed = float64(n + nb + nc)
 
 	default:
 		return fmt.Errorf("rubis: unknown interaction %q", kind)

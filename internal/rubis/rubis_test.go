@@ -289,3 +289,43 @@ func TestMixStationaryWriteFraction(t *testing.T) {
 		t.Fatalf("write fraction = %v", frac)
 	}
 }
+
+func TestInteractionIndexRoundTrip(t *testing.T) {
+	all := AllInteractions()
+	if len(all) != NumInteractions {
+		t.Fatalf("%d interactions, NumInteractions = %d", len(all), NumInteractions)
+	}
+	for i, k := range all {
+		if k.Index() != i || InteractionAt(i) != k {
+			t.Fatalf("%s: Index = %d, want %d", k, k.Index(), i)
+		}
+	}
+	if Interaction("Nope").Index() != -1 {
+		t.Fatal("unknown interaction should index to -1")
+	}
+}
+
+// TestMixNextMatchesTableRows checks the precomputed rows against the
+// mix tables: from every state, Next draws exactly what Categorical
+// over the table's weights, in table order, draws from the same stream,
+// and it allocates nothing.
+func TestMixNextMatchesTableRows(t *testing.T) {
+	for _, m := range []*Mix{BrowsingMix(), BiddingMix()} {
+		for _, from := range m.States() {
+			edges := m.table[from]
+			weights := make([]float64, len(edges))
+			for i, e := range edges {
+				weights[i] = e.p
+			}
+			got, want := rng.NewStream(3), rng.NewStream(3)
+			for i := 0; i < 200; i++ {
+				if g, w := m.Next(from, got), edges[want.Categorical(weights)].to; g != w {
+					t.Fatalf("%s: %s draw %d = %s, table says %s", m.Name, from, i, g, w)
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { m.Next(from, got) }); n != 0 {
+				t.Fatalf("%s: Next from %s allocates %v times", m.Name, from, n)
+			}
+		}
+	}
+}

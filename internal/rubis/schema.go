@@ -11,6 +11,7 @@
 package rubis
 
 import (
+	"fmt"
 	"math"
 
 	"vwchar/internal/rng"
@@ -60,6 +61,10 @@ type App struct {
 
 	users, items, bids, comments, buyNow, categories, regions *rubisdb.Table
 
+	cols columns
+	// ids is the reused id scratch of collect.
+	ids []int64
+
 	// nextItemID etc. hand out primary keys for runtime writes.
 	nextItemID    int64
 	nextBidID     int64
@@ -80,6 +85,9 @@ func NewApp(cfg DatasetConfig, r *rng.Stream) (*App, error) {
 		Config: cfg,
 	}
 	if err := a.createSchema(); err != nil {
+		return nil, err
+	}
+	if err := a.bindColumns(); err != nil {
 		return nil, err
 	}
 	if err := a.populate(r); err != nil {
@@ -170,6 +178,42 @@ func (a *App) createSchema() error {
 		{Name: "qty", Type: rubisdb.TInt64},
 		{Name: "date", Type: rubisdb.TInt64},
 	}, "id", "buyer", "item")
+	return err
+}
+
+// columns holds the indexes of the columns the interactions read and
+// write. They are resolved by name once, when an App is built, so the
+// query path never looks a column up.
+type columns struct {
+	userID, userRegion               int
+	itemID, itemSeller, itemCategory int
+	itemMaxBid, itemNbBids           int
+	bidUser, bidItem                 int
+	commentToUser                    int
+}
+
+// bindColumns resolves a.cols from the tables' schemas.
+func (a *App) bindColumns() error {
+	var err error
+	col := func(t *rubisdb.Table, name string) int {
+		i, e := t.Schema.ColIndex(name)
+		if err == nil && e != nil {
+			err = fmt.Errorf("table %s: %w", t.Name, e)
+		}
+		return i
+	}
+	a.cols = columns{
+		userID:        col(a.users, "id"),
+		userRegion:    col(a.users, "region"),
+		itemID:        col(a.items, "id"),
+		itemSeller:    col(a.items, "seller"),
+		itemCategory:  col(a.items, "category"),
+		itemMaxBid:    col(a.items, "max_bid"),
+		itemNbBids:    col(a.items, "nb_bids"),
+		bidUser:       col(a.bids, "user"),
+		bidItem:       col(a.bids, "item"),
+		commentToUser: col(a.comments, "to_user"),
+	}
 	return err
 }
 

@@ -1,6 +1,7 @@
 package rubis
 
 import (
+	"fmt"
 	"sync"
 
 	"vwchar/internal/rng"
@@ -22,6 +23,7 @@ type Snapshot struct {
 	golden     *rubisdb.Golden
 	catWeights []float64
 	regWeights []float64
+	cols       columns
 
 	nextItemID    int64
 	nextBidID     int64
@@ -51,6 +53,7 @@ func NewSnapshot(cfg DatasetConfig, seed uint64) (*Snapshot, error) {
 		golden:        golden,
 		catWeights:    a.catWeights,
 		regWeights:    a.regWeights,
+		cols:          a.cols,
 		nextItemID:    a.nextItemID,
 		nextBidID:     a.nextBidID,
 		nextCommentID: a.nextCommentID,
@@ -90,6 +93,7 @@ func (s *Snapshot) Attach() *App {
 	a.Config = s.Config
 	a.catWeights = s.catWeights
 	a.regWeights = s.regWeights
+	a.cols = s.cols
 	a.nextItemID = s.nextItemID
 	a.nextBidID = s.nextBidID
 	a.nextCommentID = s.nextCommentID
@@ -165,7 +169,7 @@ func SharedSnapshot(cfg DatasetConfig, seed uint64) (*Snapshot, error) {
 	evictSnapshotsLocked()
 	snapshotCache.Unlock()
 
-	e.snap, e.err = NewSnapshot(cfg, seed)
+	e.snap, e.err = buildSnapshot(cfg, seed)
 	if e.err != nil {
 		// Drop the failed entry so a later caller can retry.
 		snapshotCache.Lock()
@@ -174,6 +178,19 @@ func SharedSnapshot(cfg DatasetConfig, seed uint64) (*Snapshot, error) {
 	}
 	close(e.ready)
 	return e.snap, e.err
+}
+
+// buildSnapshot is NewSnapshot with a panic turned into an error. A
+// dataset config that makes population panic must still let
+// SharedSnapshot drop its entry and close ready; otherwise every later
+// caller with the same key would block on the entry forever.
+func buildSnapshot(cfg DatasetConfig, seed uint64) (s *Snapshot, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s, err = nil, fmt.Errorf("rubis: building dataset snapshot: %v", p)
+		}
+	}()
+	return NewSnapshot(cfg, seed)
 }
 
 // evictSnapshotsLocked drops least-recently-used ready entries until the

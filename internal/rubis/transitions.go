@@ -21,6 +21,10 @@ type Mix struct {
 	Start Interaction
 
 	table map[Interaction][]edge
+	// next holds each state's row by dense index, precomputed from
+	// table when the mix is built, so a transition neither looks the
+	// row up by name nor builds a weight slice.
+	next [NumInteractions]transition
 }
 
 type edge struct {
@@ -28,10 +32,24 @@ type edge struct {
 	p  float64
 }
 
+// transition is one state's row: the successor states and their
+// weights in table order, as Categorical consumes them.
+type transition struct {
+	to      []Interaction
+	weights []float64
+}
+
 func buildMix(name string, think float64, rows map[Interaction][]edge) *Mix {
 	m := &Mix{Name: name, ThinkMeanSeconds: think, Start: Home, table: rows}
 	if err := m.Validate(); err != nil {
 		panic(err) // static tables are package data; a bad one is a bug
+	}
+	for from, edges := range rows {
+		t := &m.next[from.Index()]
+		for _, e := range edges {
+			t.to = append(t.to, e.to)
+			t.weights = append(t.weights, e.p)
+		}
 	}
 	return m
 }
@@ -99,15 +117,12 @@ func (m *Mix) States() []Interaction {
 // Next draws the interaction following cur. States without a row (e.g.
 // after switching mixes mid-session) restart at Start.
 func (m *Mix) Next(cur Interaction, r *rng.Stream) Interaction {
-	edges, ok := m.table[cur]
-	if !ok {
+	idx := cur.Index()
+	if idx < 0 || m.next[idx].to == nil {
 		return m.Start
 	}
-	weights := make([]float64, len(edges))
-	for i, e := range edges {
-		weights[i] = e.p
-	}
-	return edges[r.Categorical(weights)].to
+	t := &m.next[idx]
+	return t.to[r.Categorical(t.weights)]
 }
 
 // Think draws a think time in seconds.

@@ -427,27 +427,30 @@ func TestEngineUpdateNumeric(t *testing.T) {
 	if _, err := items.Insert(Row{int64(1), "vase", 10.0, int64(0), int64(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"price": 12.5, "bids": int64(1)}); err != nil {
+	if err := items.UpdateNumeric(1, SetFloat64(2, 12.5), SetInt64(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	row, _ := items.GetByPK(1)
 	if row[2] != 12.5 || row[3] != int64(1) {
 		t.Fatalf("update lost: %v", row)
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"id": int64(5)}); err == nil {
+	if err := items.UpdateNumeric(1, SetInt64(0, 5)); err == nil {
 		t.Fatal("pk update should error")
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"seller": int64(5)}); err == nil {
+	if err := items.UpdateNumeric(1, SetInt64(4, 5)); err == nil {
 		t.Fatal("indexed column update should error")
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"name": "x"}); err == nil {
+	if err := items.UpdateNumeric(1, SetInt64(1, 5)); err == nil {
 		t.Fatal("string update should error")
 	}
-	if err := items.UpdateNumeric(99, map[string]any{"price": 1.0}); err == nil {
+	if err := items.UpdateNumeric(99, SetFloat64(2, 1)); err == nil {
 		t.Fatal("absent row update should error")
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"price": int64(3)}); err == nil {
+	if err := items.UpdateNumeric(1, SetInt64(2, 3)); err == nil {
 		t.Fatal("wrong-typed update should error")
+	}
+	if err := items.UpdateNumeric(1, SetInt64(5, 3)); err == nil {
+		t.Fatal("out-of-range column update should error")
 	}
 }
 

@@ -66,15 +66,26 @@ func (h *Heap) Insert(tuple []byte) (RID, error) {
 	return RID{PageNo: id.PageNo, Slot: uint16(slot)}, nil
 }
 
-// Fetch returns a copy of the tuple at rid.
-func (h *Heap) Fetch(rid RID) ([]byte, error) {
+// pin pins the page holding rid and returns its frame with the tuple
+// bytes in place. The bytes alias the buffer-pool page: they are valid
+// until the caller unpins the frame, which it must do exactly once.
+func (h *Heap) pin(rid RID) (*Frame, []byte, error) {
 	f, err := h.pool.Get(PageID{File: h.file, PageNo: rid.PageNo})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cell, err := f.Page.Cell(int(rid.Slot))
 	if err != nil {
 		f.Unpin(false)
+		return nil, nil, err
+	}
+	return f, cell, nil
+}
+
+// Fetch returns a copy of the tuple at rid.
+func (h *Heap) Fetch(rid RID) ([]byte, error) {
+	f, cell, err := h.pin(rid)
+	if err != nil {
 		return nil, err
 	}
 	out := append([]byte(nil), cell...)

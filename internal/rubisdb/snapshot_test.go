@@ -75,7 +75,7 @@ func writeHeavyMix(t testing.TB, tb *Table, base int64, ops int, seed int64) {
 			}
 			next++
 		case 2:
-			if err := tb.UpdateNumeric(int64(r.Intn(1000)), map[string]any{"rating": int64(i)}); err != nil {
+			if err := tb.UpdateNumeric(int64(r.Intn(1000)), SetInt64(3, int64(i))); err != nil {
 				t.Fatal(err)
 			}
 		case 3:

@@ -146,6 +146,8 @@ type Table struct {
 	// rowScratch is the reused tuple-encoding buffer for this table's
 	// write paths; safe because pages and the WAL copy the bytes.
 	rowScratch []byte
+	// rids is the reused RID scratch of Scan.
+	rids []RID
 }
 
 // walInsert and walUpdate are WAL op codes.
@@ -343,64 +345,109 @@ func compareEntries(a, b Entry) int {
 	return 0
 }
 
-// GetByPK returns the row with the given primary key, or nil when absent.
-func (t *Table) GetByPK(key int64) (Row, error) {
-	rids, err := t.pk.Search(key)
+// Row cursor. Get and Scan hand the caller each fetched tuple's bytes
+// straight from the pinned heap page, with no copy and no boxing into a
+// Row; typed accessors such as Schema.Int64At read single columns from
+// them. The contract:
+//
+//   - The tuple bytes alias the buffer-pool page and are valid only
+//     inside fn. Copy what must outlive the call.
+//   - fn must not call back into the same engine. Each tuple's page stays
+//     pinned while fn runs, and a nested lookup would both see that pin
+//     and interleave its page touches with the cursor's.
+//   - The cursor makes the same buffer-pool Get calls, in the same order,
+//     and the same meter increments (RowsRead, BytesOut per fetched
+//     tuple) as decoding every row would. Page hits and misses feed the
+//     DB tier's cost receipts, so the decoding wrappers (GetByPK,
+//     RangeBy, LookupBy) are built on the cursor rather than beside it.
+
+// Get calls fn with the tuple whose primary key is key and reports
+// whether one exists. A nil fn probes and meters the row without
+// reading it.
+func (t *Table) Get(key int64, fn func(tuple []byte)) (bool, error) {
+	rid, ok, err := t.lookupPK(key)
+	if err != nil || !ok {
+		return false, err
+	}
+	f, tuple, err := t.pin(rid)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	if len(rids) == 0 {
-		return nil, nil
+	if fn != nil {
+		fn(tuple)
 	}
-	return t.fetch(DecodeRID(rids[0]))
+	f.Unpin(false)
+	return true, nil
 }
 
-func (t *Table) fetch(rid RID) (Row, error) {
-	tuple, err := t.heap.Fetch(rid)
+// lookupPK returns the RID stored under primary key key. Like
+// BTree.Search it scans the whole [key, key] range instead of stopping
+// at the match: when the match is its leaf's last entry, the scan pins
+// the next leaf too, and that page touch is part of the metered
+// sequence.
+func (t *Table) lookupPK(key int64) (rid RID, ok bool, err error) {
+	err = t.pk.ScanRange(key, key, func(_ int64, v uint64) bool {
+		if !ok {
+			rid, ok = DecodeRID(v), true
+		}
+		return true
+	})
+	return rid, ok, err
+}
+
+// pin pins rid's heap page and meters one row read of the tuple; the
+// caller unpins the returned frame.
+func (t *Table) pin(rid RID) (*Frame, []byte, error) {
+	f, tuple, err := t.heap.pin(rid)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t.engine.meter.RowsRead++
 	t.engine.meter.BytesOut += float64(len(tuple))
-	return DecodeRow(t.Schema, tuple)
+	return f, tuple, nil
 }
 
-// LookupBy returns up to limit rows whose indexed column equals key
-// (limit <= 0 means unlimited). The column must have a secondary index.
-func (t *Table) LookupBy(column string, key int64, limit int) ([]Row, error) {
-	return t.RangeBy(column, key, key, limit)
-}
-
-// RangeBy returns up to limit rows with lo <= column <= hi in index
-// order. The column must be the primary key or carry a secondary index.
-func (t *Table) RangeBy(column string, lo, hi int64, limit int) ([]Row, error) {
-	tree, err := t.indexFor(column)
+// Scan calls fn, in index order, with up to limit tuples whose column
+// col lies in [lo, hi] (limit <= 0 means unlimited); fn returning false
+// stops the scan. The column must be the primary key or carry a
+// secondary index. The matching RIDs are collected from the index
+// before the first heap page is pinned, so index and heap page touches
+// never interleave.
+func (t *Table) Scan(col int, lo, hi int64, limit int, fn func(tuple []byte) bool) error {
+	tree, err := t.index(col)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var rids []RID
+	// t.rids is used as a stack: this scan owns rids[start:end] and
+	// truncates back to start on return, so the scratch is reused
+	// across scans without allocating.
+	start := len(t.rids)
 	err = tree.ScanRange(lo, hi, func(_ int64, v uint64) bool {
-		rids = append(rids, DecodeRID(v))
-		return limit <= 0 || len(rids) < limit
+		t.rids = append(t.rids, DecodeRID(v))
+		return limit <= 0 || len(t.rids)-start < limit
 	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, 0, len(rids))
-	for _, rid := range rids {
-		row, err := t.fetch(rid)
+	end := len(t.rids)
+	for i := start; i < end && err == nil; i++ {
+		var f *Frame
+		var tuple []byte
+		f, tuple, err = t.pin(t.rids[i])
 		if err != nil {
-			return nil, err
+			break
 		}
-		rows = append(rows, row)
+		more := fn(tuple)
+		f.Unpin(false)
+		if !more {
+			break
+		}
 	}
-	return rows, nil
+	t.rids = t.rids[:start]
+	return err
 }
 
-// CountBy counts index entries with lo <= column <= hi without fetching
-// rows (an index-only scan).
-func (t *Table) CountBy(column string, lo, hi int64) (int, error) {
-	tree, err := t.indexFor(column)
+// Count counts index entries with lo <= column col <= hi without
+// fetching rows (an index-only scan).
+func (t *Table) Count(col int, lo, hi int64) (int, error) {
+	tree, err := t.index(col)
 	if err != nil {
 		return 0, err
 	}
@@ -412,69 +459,152 @@ func (t *Table) CountBy(column string, lo, hi int64) (int, error) {
 	return n, err
 }
 
-func (t *Table) indexFor(column string) (*BTree, error) {
+// index returns the B+tree over column col.
+func (t *Table) index(col int) (*BTree, error) {
+	if col == t.pkCol {
+		return t.pk, nil
+	}
+	for i, c := range t.secCols {
+		if c == col {
+			return t.secs[i], nil
+		}
+	}
+	if col < 0 || col >= len(t.Schema) {
+		return nil, fmt.Errorf("rubisdb: table %s has no column %d", t.Name, col)
+	}
+	return nil, fmt.Errorf("rubisdb: table %s has no index on %q", t.Name, t.Schema[col].Name)
+}
+
+// offset returns where column col's encoding starts in tuple.
+func (s Schema) offset(tuple []byte, col int) int {
+	off := 0
+	for _, c := range s[:col] {
+		if c.Type == TString {
+			off += 2 + int(binary.BigEndian.Uint16(tuple[off:]))
+		} else {
+			off += 8
+		}
+	}
+	return off
+}
+
+// Int64At reads int64 column col from a tuple encoded against s.
+func (s Schema) Int64At(tuple []byte, col int) int64 {
+	return int64(binary.BigEndian.Uint64(tuple[s.offset(tuple, col):]))
+}
+
+// GetByPK returns the row with the given primary key, or nil when
+// absent. It decodes the tuple Get hands over.
+func (t *Table) GetByPK(key int64) (Row, error) {
+	var row Row
+	var derr error
+	if _, err := t.Get(key, func(tuple []byte) {
+		row, derr = DecodeRow(t.Schema, tuple)
+	}); err != nil {
+		return nil, err
+	}
+	return row, derr
+}
+
+// LookupBy returns up to limit rows whose indexed column equals key
+// (limit <= 0 means unlimited). The column must have a secondary index.
+func (t *Table) LookupBy(column string, key int64, limit int) ([]Row, error) {
+	return t.RangeBy(column, key, key, limit)
+}
+
+// RangeBy returns up to limit rows with lo <= column <= hi in index
+// order, decoding the tuples Scan hands over. The column must be the
+// primary key or carry a secondary index.
+func (t *Table) RangeBy(column string, lo, hi int64, limit int) ([]Row, error) {
 	ci, err := t.Schema.ColIndex(column)
 	if err != nil {
 		return nil, err
 	}
-	if ci == t.pkCol {
-		return t.pk, nil
+	var rows []Row
+	var derr error
+	err = t.Scan(ci, lo, hi, limit, func(tuple []byte) bool {
+		var row Row
+		row, derr = DecodeRow(t.Schema, tuple)
+		rows = append(rows, row)
+		return derr == nil
+	})
+	if err == nil {
+		err = derr
 	}
-	for i, col := range t.secCols {
-		if col == ci {
-			return t.secs[i], nil
-		}
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("rubisdb: table %s has no index on %q", t.Name, column)
+	return rows, nil
+}
+
+// CountBy counts index entries with lo <= column <= hi without fetching
+// rows (an index-only scan).
+func (t *Table) CountBy(column string, lo, hi int64) (int, error) {
+	ci, err := t.Schema.ColIndex(column)
+	if err != nil {
+		return 0, err
+	}
+	return t.Count(ci, lo, hi)
+}
+
+// Set is one fixed-width column assignment for UpdateNumeric.
+type Set struct {
+	Col  int
+	typ  ColType
+	bits uint64
+}
+
+// SetInt64 assigns v to int64 column col.
+func SetInt64(col int, v int64) Set { return Set{Col: col, typ: TInt64, bits: uint64(v)} }
+
+// SetFloat64 assigns v to float64 column col.
+func SetFloat64(col int, v float64) Set {
+	return Set{Col: col, typ: TFloat64, bits: math.Float64bits(v)}
 }
 
 // UpdateNumeric overwrites fixed-width (int64/float64) columns of the row
-// with the given primary key. Indexed columns cannot be changed — the
-// RUBiS write paths only touch unindexed numerics (price, counters).
-func (t *Table) UpdateNumeric(key int64, updates map[string]any) error {
-	rids, err := t.pk.Search(key)
-	if err != nil {
-		return err
-	}
-	if len(rids) == 0 {
-		return fmt.Errorf("table %s: no row with pk %d", t.Name, key)
-	}
-	rid := DecodeRID(rids[0])
-	row, err := t.fetch(rid)
-	if err != nil {
-		return err
-	}
-	for name, val := range updates {
-		ci, err := t.Schema.ColIndex(name)
-		if err != nil {
-			return err
+// with the given primary key, in place. Indexed columns cannot be
+// changed — the RUBiS write paths only touch unindexed numerics (price,
+// counters). The row is fetched (and metered) like a Get, patched in a
+// private copy, and written back through the heap with one WAL record
+// of the full new tuple.
+func (t *Table) UpdateNumeric(key int64, sets ...Set) error {
+	for _, s := range sets {
+		if s.Col < 0 || s.Col >= len(t.Schema) {
+			return fmt.Errorf("table %s: no column %d", t.Name, s.Col)
 		}
-		if ci == t.pkCol {
+		name := t.Schema[s.Col].Name
+		if s.Col == t.pkCol {
 			return fmt.Errorf("table %s: cannot update primary key", t.Name)
 		}
-		for i, col := range t.secCols {
-			_ = i
-			if col == ci {
+		for _, col := range t.secCols {
+			if col == s.Col {
 				return fmt.Errorf("table %s: cannot update indexed column %q", t.Name, name)
 			}
 		}
-		switch t.Schema[ci].Type {
-		case TInt64:
-			if _, ok := val.(int64); !ok {
-				return fmt.Errorf("table %s: update %q wants int64, got %T", t.Name, name, val)
-			}
-		case TFloat64:
-			if _, ok := val.(float64); !ok {
-				return fmt.Errorf("table %s: update %q wants float64, got %T", t.Name, name, val)
-			}
-		default:
+		switch typ := t.Schema[s.Col].Type; {
+		case typ == TString:
 			return fmt.Errorf("table %s: UpdateNumeric cannot update string column %q", t.Name, name)
+		case typ != s.typ:
+			return fmt.Errorf("table %s: update of %q has the wrong type", t.Name, name)
 		}
-		row[ci] = val
 	}
-	tuple, err := t.encode(row)
+	rid, ok, err := t.lookupPK(key)
 	if err != nil {
 		return err
+	}
+	if !ok {
+		return fmt.Errorf("table %s: no row with pk %d", t.Name, key)
+	}
+	f, old, err := t.pin(rid)
+	if err != nil {
+		return err
+	}
+	tuple := append(t.rowScratch[:0], old...)
+	f.Unpin(false)
+	t.rowScratch = tuple
+	for _, s := range sets {
+		binary.BigEndian.PutUint64(tuple[t.Schema.offset(tuple, s.Col):], s.bits)
 	}
 	if err := t.heap.UpdateInPlace(rid, tuple); err != nil {
 		return err

@@ -1,7 +1,7 @@
 package tiers
 
 import (
-	"fmt"
+	"strconv"
 
 	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
@@ -52,12 +52,13 @@ func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, c
 	}
 	d.initStats(false)
 	for i := 0; i < n; i++ {
+		name := "client-" + strconv.Itoa(i)
 		c := &client{
 			d:     d,
 			id:    i,
 			state: model.StartState(),
-			think: src.Stream(fmt.Sprintf("client-%d-think", i)),
-			pick:  src.Stream(fmt.Sprintf("client-%d-pick", i)),
+			think: src.Stream(name + "-think"),
+			pick:  src.Stream(name + "-pick"),
 		}
 		c.sess.UserID = int64(i % int(app.TotalUsers()))
 		c.sess.ItemID = int64(i*7) % app.TotalItems()

@@ -17,6 +17,8 @@ cd "$(dirname "$0")/.."
 #    policies), the guarded path with no fault active, the path with
 #    the crash hazard and brownout controller armed, and a warm cache
 #    hit.
+#  - rubis: the read interactions through ExecuteInto on an attached
+#    view, reading rows through the row cursor.
 #  - root: attaching a recycled snapshot view, once per replication.
 gates='
 ./internal/sim/       BenchmarkKernelTickerHeavy     200000x 1
@@ -27,6 +29,7 @@ gates='
 ./internal/tiers/     BenchmarkDispatchWithFaults$   200000x 1
 ./internal/tiers/     BenchmarkDispatchWithCascade$  200000x 1
 ./internal/tiers/     BenchmarkCacheHitDispatch$     200000x 1
+./internal/rubis/     BenchmarkExecuteReads$         200000x 1
 .                     BenchmarkSnapshotAttach$       200x    1
 '
 
