@@ -64,7 +64,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 	// tickers in the event order, as before the refactor). Read
 	// replicas carry no engine reference: only the primary checkpoints
 	// the shared storage engine.
-	primaryBE := &tiers.VMBackend{HV: hvFor(primaryVM), Dom: primaryDom, Peer: inst.webDoms[0]}
+	primaryBE := &tiers.VMBackend{HV: hvFor(primaryVM), Dom: primaryDom}
 	primary := tiers.NewDBServer(k, primaryBE, app, tiers.DefaultDBParams("vm"))
 	var replicas []*tiers.DBServer
 	for j := 0; j < topo.DBReadReplicas; j++ {
@@ -87,7 +87,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 
 	webs := make([]*tiers.WebAppServer, 0, topo.MaxWebReplicas)
 	for i, dom := range inst.webDoms {
-		be := &tiers.VMBackend{HV: hvFor(i), Dom: dom, Peer: primaryDom}
+		be := &tiers.VMBackend{HV: hvFor(i), Dom: dom}
 		webs = append(webs, tiers.NewWebAppServer(k, be, inst.dbc, dbPaths(topo.MachineFor(i), dom), tiers.DefaultWebParams("vm")))
 	}
 	inst.cluster = tiers.NewWebCluster(k, webs, topo.WebReplicas, tiers.NewLoadBalancer(topo.LB))
@@ -114,7 +114,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 		m := auxMachine(0)
 		dom := hvs[m].CreateGuest(fmt.Sprintf("memcache-vm-%d", pair), 2, 2<<30, 256)
 		dom.Mem.Set("kernel", 30e6)
-		be := &tiers.VMBackend{HV: hvs[m], Dom: dom, Peer: inst.webDoms[0]}
+		be := &tiers.VMBackend{HV: hvs[m], Dom: dom}
 		inst.cacheSrv = tiers.NewCacheServer(k, be, *cache, tiers.DefaultCacheParams())
 		inst.cacheDom = dom
 		for i, w := range webs {
@@ -125,7 +125,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 		m := auxMachine(1)
 		dom := hvs[m].CreateGuest(fmt.Sprintf("wqueue-vm-%d", pair), 2, 2<<30, 256)
 		dom.Mem.Set("kernel", 30e6)
-		be := &tiers.VMBackend{HV: hvs[m], Dom: dom, Peer: inst.dbDoms[0]}
+		be := &tiers.VMBackend{HV: hvs[m], Dom: dom}
 		inst.queueSrv = tiers.NewQueueServer(k, be, inst.dbc, dbPaths(m, dom), *queue, tiers.DefaultQueueParams())
 		inst.queueDom = dom
 		for i, w := range webs {

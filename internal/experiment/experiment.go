@@ -571,12 +571,16 @@ func (d *deployment) harvestDrivers() *Result {
 	res.MeanRespTime = primary.MeanResponseTime()
 	res.P95RespTime = primary.ResponseTimeQuantile(0.95)
 	res.Telemetry = rec.Series()
-	res.Interactions = primary.InteractionCounts()
 	res.ServedHist, res.AbandonedHist = rec.RunHist(), rec.AbandonedHist()
-	for idx := 0; idx < rubis.NumInteractions; idx++ {
-		h := rec.KindHist(idx)
+	res.Interactions = make(map[rubis.Interaction]uint64)
+	counts := primary.InteractionCounts()
+	for _, kind := range rubis.AllInteractions() {
+		if n := counts[kind]; n > 0 {
+			res.Interactions[kind] = n
+		}
+		h := rec.KindHist(int(kind))
 		res.PerInteraction = append(res.PerInteraction, InteractionLatency{
-			Kind:   string(rubis.InteractionAt(idx)),
+			Kind:   kind.String(),
 			Count:  h.Count(),
 			MeanMs: h.Mean() * 1e3,
 			P95Ms:  h.Quantile(0.95) * 1e3,

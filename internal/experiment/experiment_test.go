@@ -38,8 +38,8 @@ func TestRunValidation(t *testing.T) {
 func TestMixModels(t *testing.T) {
 	for _, mix := range []MixKind{MixBrowsing, MixBidding, Mix30Browse, Mix50Browse, Mix70Browse} {
 		m := mix.Model()
-		if m.MixName() == "" {
-			t.Fatalf("%s has empty model name", mix)
+		if m == nil || m.Start() != rubis.Home {
+			t.Fatalf("%s: no model entering at Home", mix)
 		}
 	}
 	defer func() {

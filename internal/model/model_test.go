@@ -106,8 +106,10 @@ func TestTransactionFootprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tm.Footprints) != len(rubis.AllInteractions()) {
-		t.Fatalf("footprints = %d", len(tm.Footprints))
+	for _, kind := range rubis.AllInteractions() {
+		if fp := tm.Footprints[kind]; fp.Interaction != kind || fp.Samples != 20 {
+			t.Fatalf("footprint %d is %s with %d samples", kind, fp.Interaction, fp.Samples)
+		}
 	}
 	view := tm.Footprints[rubis.ViewItem]
 	home := tm.Footprints[rubis.Home]
@@ -126,6 +128,33 @@ func TestTransactionFootprints(t *testing.T) {
 	}
 	if _, err := FitTransactions(testDataset(), 0, 3); err == nil {
 		t.Fatal("zero samples should error")
+	}
+}
+
+// TestPredictBitIdenticalOnRepeat pins Predict's determinism: the same
+// footprints, mix, rate and seed give the same bits in every field, so
+// the floating-point sum must not follow an unordered iteration.
+func TestPredictBitIdenticalOnRepeat(t *testing.T) {
+	tm, err := FitTransactions(testDataset(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(p DemandPrediction) [7]uint64 {
+		return [7]uint64{
+			math.Float64bits(p.RequestsPerSecond),
+			math.Float64bits(p.WebCyclesPer2s),
+			math.Float64bits(p.DBCyclesPer2s),
+			math.Float64bits(p.WebNetKBPer2s),
+			math.Float64bits(p.DBNetKBPer2s),
+			math.Float64bits(p.DBDiskKBPer2s),
+			math.Float64bits(p.WriteFraction),
+		}
+	}
+	want := bits(tm.Predict(rubis.BiddingMix(), 150, 20000, 9))
+	for i := 0; i < 20; i++ {
+		if got := bits(tm.Predict(rubis.BiddingMix(), 150, 20000, 9)); got != want {
+			t.Fatalf("call %d: prediction bits %x, first call %x", i+1, got, want)
+		}
 	}
 }
 

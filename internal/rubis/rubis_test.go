@@ -80,7 +80,7 @@ func TestAllInteractionsExecute(t *testing.T) {
 			}
 		}
 	}
-	if _, err := app.Execute(Interaction("Nope"), sess, r, params); err == nil {
+	if _, err := app.Execute(Interaction(NumInteractions), sess, r, params); err == nil {
 		t.Fatal("unknown interaction should error")
 	}
 }
@@ -197,7 +197,7 @@ func TestBiddingMixReachesWrites(t *testing.T) {
 	m := BiddingMix()
 	r := rng.NewSource(3).Stream("walk")
 	seen := map[Interaction]bool{}
-	cur := m.Start
+	cur := m.Start()
 	for i := 0; i < 20000; i++ {
 		cur = m.Next(cur, r)
 		seen[cur] = true
@@ -231,21 +231,23 @@ func TestMixThinkTimes(t *testing.T) {
 func TestMixUnknownStateRestarts(t *testing.T) {
 	m := BrowsingMix()
 	r := rng.NewSource(3).Stream("x")
-	if next := m.Next(StoreBid, r); next != m.Start {
-		t.Fatalf("unknown state should restart at %s, got %s", m.Start, next)
+	for _, cur := range []Interaction{StoreBid, Interaction(NumInteractions)} {
+		if next := m.Next(cur, r); next != m.Start() {
+			t.Fatalf("%s has no row and should restart at %s, got %s", cur, m.Start(), next)
+		}
 	}
 }
 
 func TestCompositeMix(t *testing.T) {
 	c := NewCompositeMix(0.7)
-	if c.MixName() != "70%browse-30%bid" {
-		t.Fatalf("name = %q", c.MixName())
+	if c.Name != "70%browse-30%bid" {
+		t.Fatalf("name = %q", c.Name)
 	}
 	r := rng.NewSource(3).Stream("comp")
 	seen := map[Interaction]bool{}
-	cur := c.StartState()
+	cur := c.Start()
 	for i := 0; i < 50000; i++ {
-		cur = c.NextInteraction(cur, r)
+		cur = c.Next(cur, r)
 		seen[cur] = true
 	}
 	if !seen[StoreBid] {
@@ -254,7 +256,7 @@ func TestCompositeMix(t *testing.T) {
 	if !seen[ViewItem] {
 		t.Fatal("composite mix should reach browse states")
 	}
-	think := c.ThinkSeconds(r)
+	think := c.Think(r)
 	if think < 0 {
 		t.Fatalf("think = %v", think)
 	}
@@ -274,7 +276,7 @@ func TestMixStationaryWriteFraction(t *testing.T) {
 		StoreBuyNow: true, StoreComment: true,
 	}
 	count := 0
-	cur := m.Start
+	cur := m.Start()
 	const n = 100000
 	for i := 0; i < n; i++ {
 		cur = m.Next(cur, r)
@@ -290,29 +292,40 @@ func TestMixStationaryWriteFraction(t *testing.T) {
 	}
 }
 
-func TestInteractionIndexRoundTrip(t *testing.T) {
+// TestInteractionNames pins the dense kinds to their RUBiS names: kind
+// i is AllInteractions()[i], and String returns the name every report
+// and digest prints.
+func TestInteractionNames(t *testing.T) {
+	want := []string{
+		"Home", "Register", "RegisterUser", "Browse", "BrowseCategories",
+		"SearchItemsInCategory", "BrowseRegions", "BrowseCategoriesInRegion",
+		"SearchItemsInRegion", "ViewItem", "ViewUserInfo", "ViewBidHistory",
+		"BuyNowAuth", "BuyNow", "StoreBuyNow", "PutBidAuth", "PutBid", "StoreBid",
+		"PutCommentAuth", "PutComment", "StoreComment", "Sell",
+		"SelectCategoryToSellItem", "SellItemForm", "RegisterItem", "AboutMe",
+	}
 	all := AllInteractions()
-	if len(all) != NumInteractions {
-		t.Fatalf("%d interactions, NumInteractions = %d", len(all), NumInteractions)
+	if len(all) != NumInteractions || len(want) != NumInteractions {
+		t.Fatalf("%d interactions, %d names, NumInteractions = %d", len(all), len(want), NumInteractions)
 	}
 	for i, k := range all {
-		if k.Index() != i || InteractionAt(i) != k {
-			t.Fatalf("%s: Index = %d, want %d", k, k.Index(), i)
+		if k != Interaction(i) || k.String() != want[i] {
+			t.Fatalf("AllInteractions()[%d] = %d %q, want %d %q", i, k, k.String(), i, want[i])
 		}
 	}
-	if Interaction("Nope").Index() != -1 {
-		t.Fatal("unknown interaction should index to -1")
+	if got := Interaction(NumInteractions).String(); got != "Interaction(26)" {
+		t.Fatalf("out-of-range kind prints %q", got)
 	}
 }
 
 // TestMixNextMatchesTableRows checks the precomputed rows against the
-// mix tables: from every state, Next draws exactly what Categorical
-// over the table's weights, in table order, draws from the same stream,
-// and it allocates nothing.
+// declared edges: from every state, Next draws exactly what Categorical
+// over the declared weights, in declaration order, draws from the same
+// stream, and it allocates nothing.
 func TestMixNextMatchesTableRows(t *testing.T) {
 	for _, m := range []*Mix{BrowsingMix(), BiddingMix()} {
 		for _, from := range m.States() {
-			edges := m.table[from]
+			edges := m.rows[from]
 			weights := make([]float64, len(edges))
 			for i, e := range edges {
 				weights[i] = e.p

@@ -9,7 +9,7 @@ import (
 
 // Mix is a client behaviour model: a Markov chain over interactions plus
 // a think-time distribution, as in the RUBiS client emulator's transition
-// tables.
+// tables. Sessions enter at Home.
 type Mix struct {
 	// Name identifies the mix ("browsing", "bidding", "70/30", ...).
 	Name string
@@ -17,13 +17,12 @@ type Mix struct {
 	// paper sets 7 s; the bidding mix's effective think time is longer
 	// (form filling), which §4.1 uses to explain its smoother curves.
 	ThinkMeanSeconds float64
-	// Start is the session entry state.
-	Start Interaction
 
-	table map[Interaction][]edge
-	// next holds each state's row by dense index, precomputed from
-	// table when the mix is built, so a transition neither looks the
-	// row up by name nor builds a weight slice.
+	// rows is the declared transition table, one row per state; a state
+	// the mix never visits has no row.
+	rows [NumInteractions][]edge
+	// next holds each row as Categorical consumes it, precomputed when
+	// the mix is built so a transition builds no weight slice.
 	next [NumInteractions]transition
 }
 
@@ -39,13 +38,13 @@ type transition struct {
 	weights []float64
 }
 
-func buildMix(name string, think float64, rows map[Interaction][]edge) *Mix {
-	m := &Mix{Name: name, ThinkMeanSeconds: think, Start: Home, table: rows}
+func buildMix(name string, think float64, rows [NumInteractions][]edge) *Mix {
+	m := &Mix{Name: name, ThinkMeanSeconds: think, rows: rows}
 	if err := m.Validate(); err != nil {
 		panic(err) // static tables are package data; a bad one is a bug
 	}
 	for from, edges := range rows {
-		t := &m.next[from.Index()]
+		t := &m.next[from]
 		for _, e := range edges {
 			t.to = append(t.to, e.to)
 			t.weights = append(t.weights, e.p)
@@ -55,19 +54,13 @@ func buildMix(name string, think float64, rows map[Interaction][]edge) *Mix {
 }
 
 // Validate checks that all rows are proper distributions over known
-// states and that every state is reachable from Start.
+// states and that every state with a row is reachable from Start.
 func (m *Mix) Validate() error {
-	known := make(map[Interaction]bool)
-	for _, i := range AllInteractions() {
-		known[i] = true
-	}
-	for from, edges := range m.table {
-		if !known[from] {
-			return fmt.Errorf("rubis: mix %s has unknown state %q", m.Name, from)
-		}
+	for i, edges := range m.rows {
+		from := Interaction(i)
 		sum := 0.0
 		for _, e := range edges {
-			if !known[e.to] {
+			if e.to >= NumInteractions {
 				return fmt.Errorf("rubis: mix %s: %s -> unknown %q", m.Name, from, e.to)
 			}
 			if e.p <= 0 {
@@ -75,62 +68,66 @@ func (m *Mix) Validate() error {
 			}
 			sum += e.p
 		}
-		if math.Abs(sum-1) > 1e-9 {
+		if len(edges) > 0 && math.Abs(sum-1) > 1e-9 {
 			return fmt.Errorf("rubis: mix %s: %s row sums to %v", m.Name, from, sum)
 		}
 	}
-	if _, ok := m.table[m.Start]; !ok {
-		return fmt.Errorf("rubis: mix %s start state %q has no row", m.Name, m.Start)
+	start := m.Start()
+	if len(m.rows[start]) == 0 {
+		return fmt.Errorf("rubis: mix %s start state %q has no row", m.Name, start)
 	}
 	// Reachability sweep.
-	seen := map[Interaction]bool{m.Start: true}
-	frontier := []Interaction{m.Start}
+	var seen [NumInteractions]bool
+	seen[start] = true
+	frontier := []Interaction{start}
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, e := range m.table[cur] {
+		for _, e := range m.rows[cur] {
 			if !seen[e.to] {
 				seen[e.to] = true
 				frontier = append(frontier, e.to)
 			}
 		}
 	}
-	for from := range m.table {
+	for _, from := range m.States() {
 		if !seen[from] {
-			return fmt.Errorf("rubis: mix %s state %q unreachable from %s", m.Name, from, m.Start)
+			return fmt.Errorf("rubis: mix %s state %q unreachable from %s", m.Name, from, start)
 		}
 	}
 	return nil
 }
 
-// States returns the interactions this mix can emit.
+// States returns the interactions this mix can emit, in kind order.
 func (m *Mix) States() []Interaction {
 	var out []Interaction
-	for _, i := range AllInteractions() {
-		if _, ok := m.table[i]; ok {
-			out = append(out, i)
+	for i, edges := range m.rows {
+		if len(edges) > 0 {
+			out = append(out, Interaction(i))
 		}
 	}
 	return out
 }
 
-// Next draws the interaction following cur. States without a row (e.g.
-// after switching mixes mid-session) restart at Start.
+// Start implements Model: every session enters at Home.
+func (m *Mix) Start() Interaction { return Home }
+
+// Next implements Model. States without a row (e.g. after switching
+// mixes mid-session) restart at Start.
 func (m *Mix) Next(cur Interaction, r *rng.Stream) Interaction {
-	idx := cur.Index()
-	if idx < 0 || m.next[idx].to == nil {
-		return m.Start
+	if cur >= NumInteractions || m.next[cur].to == nil {
+		return m.Start()
 	}
-	t := &m.next[idx]
+	t := &m.next[cur]
 	return t.to[r.Categorical(t.weights)]
 }
 
-// Think draws a think time in seconds.
+// Think implements Model: an exponential think time in seconds.
 func (m *Mix) Think(r *rng.Stream) float64 { return r.Exp(m.ThinkMeanSeconds) }
 
 // BrowsingMix returns the paper's read-only "browsing" composition.
 func BrowsingMix() *Mix {
-	return buildMix("browsing", 7.0, map[Interaction][]edge{
+	return buildMix("browsing", 7.0, [NumInteractions][]edge{
 		Home:                     {{Browse, 1}},
 		Browse:                   {{BrowseCategories, 0.55}, {BrowseRegions, 0.45}},
 		BrowseCategories:         {{SearchItemsInCategory, 1}},
@@ -153,7 +150,7 @@ func BrowsingMix() *Mix {
 // BiddingMix returns the paper's "bidding" composition (the RUBiS
 // default read-write mix, ~10-15% writes).
 func BiddingMix() *Mix {
-	return buildMix("bidding", 8.4, map[Interaction][]edge{
+	return buildMix("bidding", 8.4, [NumInteractions][]edge{
 		Home:                     {{Browse, 0.85}, {Register, 0.06}, {Sell, 0.05}, {AboutMe, 0.04}},
 		Register:                 {{RegisterUser, 1}},
 		RegisterUser:             {{Browse, 0.6}, {Home, 0.4}},
@@ -216,46 +213,27 @@ func NewCompositeMix(browseFraction float64) *CompositeMix {
 
 // Model is the behaviour interface the workload driver consumes.
 type Model interface {
-	// MixName identifies the composition for reports.
-	MixName() string
-	// NextInteraction draws the state after cur.
-	NextInteraction(cur Interaction, r *rng.Stream) Interaction
-	// ThinkSeconds draws a think time.
-	ThinkSeconds(r *rng.Stream) float64
-	// StartState is the session entry interaction.
-	StartState() Interaction
+	// Start is the session entry interaction.
+	Start() Interaction
+	// Next draws the interaction following cur.
+	Next(cur Interaction, r *rng.Stream) Interaction
+	// Think draws a think time in seconds.
+	Think(r *rng.Stream) float64
 }
 
-// MixName implements Model.
-func (m *Mix) MixName() string { return m.Name }
+// Start implements Model.
+func (c *CompositeMix) Start() Interaction { return Home }
 
-// NextInteraction implements Model.
-func (m *Mix) NextInteraction(cur Interaction, r *rng.Stream) Interaction {
-	return m.Next(cur, r)
-}
-
-// ThinkSeconds implements Model.
-func (m *Mix) ThinkSeconds(r *rng.Stream) float64 { return m.Think(r) }
-
-// StartState implements Model.
-func (m *Mix) StartState() Interaction { return m.Start }
-
-// MixName implements Model.
-func (c *CompositeMix) MixName() string { return c.Name }
-
-// NextInteraction implements Model.
-func (c *CompositeMix) NextInteraction(cur Interaction, r *rng.Stream) Interaction {
+// Next implements Model.
+func (c *CompositeMix) Next(cur Interaction, r *rng.Stream) Interaction {
 	if r.Bernoulli(c.BrowseFraction) {
 		return c.browse.Next(cur, r)
 	}
 	return c.bid.Next(cur, r)
 }
 
-// ThinkSeconds implements Model.
-func (c *CompositeMix) ThinkSeconds(r *rng.Stream) float64 {
+// Think implements Model.
+func (c *CompositeMix) Think(r *rng.Stream) float64 {
 	mean := c.BrowseFraction*c.browse.ThinkMeanSeconds + (1-c.BrowseFraction)*c.bid.ThinkMeanSeconds
 	return r.Exp(mean)
 }
-
-// StartState implements Model.
-func (c *CompositeMix) StartState() Interaction { return Home }

@@ -36,8 +36,8 @@ func TestStopReleasesTickerEventImmediately(t *testing.T) {
 // lazily-cancelled events awaiting collection are not counted.
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	k := NewKernel()
-	a := k.At(Second, func() {})
-	k.At(2*Second, func() {})
+	a := k.AtCall(Second, func(any) {}, nil)
+	k.AtCall(2*Second, func(any) {}, nil)
 	a.Cancel()
 	if k.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1 (cancelled event excluded)", k.Pending())
@@ -51,8 +51,8 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 func TestReschedule(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	e := k.At(Second, func() { order = append(order, "moved") })
-	k.At(2*Second, func() { order = append(order, "fixed") })
+	e := k.AtCall(Second, func(any) { order = append(order, "moved") }, nil)
+	k.AtCall(2*Second, func(any) { order = append(order, "fixed") }, nil)
 	if !e.Reschedule(3 * Second) {
 		t.Fatal("Reschedule on a pending event returned false")
 	}
@@ -73,7 +73,7 @@ func TestReschedule(t *testing.T) {
 func TestRescheduleRevivesCancelledEvent(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	e := k.At(Second, func() { fired++ })
+	e := k.AtCall(Second, func(any) { fired++ }, nil)
 	e.Cancel()
 	if !e.Reschedule(2 * Second) {
 		t.Fatal("Reschedule on a cancelled queued event returned false")
@@ -92,7 +92,7 @@ func TestCompactionReleasesCancelledEvents(t *testing.T) {
 	var want []Time
 	for i := 0; i < 500; i++ {
 		at := Time(i) * Millisecond
-		events = append(events, k.At(at, func() {}))
+		events = append(events, k.AtCall(at, func(any) {}, nil))
 	}
 	// Cancel two of every three: well past the half-dead threshold.
 	for i, e := range events {
@@ -147,7 +147,7 @@ func TestPropertyHeapMatchesOracle(t *testing.T) {
 				id := len(specs)
 				specs = append(specs, spec{at: at, order: order, live: true})
 				order++
-				events = append(events, k.At(at, func() { fired = append(fired, id) }))
+				events = append(events, k.AtCall(at, func(any) { fired = append(fired, id) }, nil))
 			case c <= 7: // cancel a random event
 				i := r.Intn(len(specs))
 				specs[i].live = false
@@ -216,8 +216,8 @@ func TestPropertyHeapMatchesOracle(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingIsAllocationFree is the regression guard for
-// the kernel's headline property: once the arena is warm, After+Run and
-// the closure-free AfterCall path allocate nothing.
+// the kernel's headline property: once the arena is warm, AfterCall+Run
+// allocates nothing.
 func TestSteadyStateSchedulingIsAllocationFree(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 256; i++ {
@@ -232,12 +232,14 @@ func TestSteadyStateSchedulingIsAllocationFree(t *testing.T) {
 		t.Fatalf("steady-state AfterCall+Run allocates %.1f/op, want 0", allocs)
 	}
 
-	noop := func() {}
+	// A capturing callback built once is reused without allocating.
+	fired := 0
+	count := func(any) { fired++ }
 	if allocs := testing.AllocsPerRun(1000, func() {
-		k.After(Microsecond, noop)
+		k.AfterCall(Microsecond, count, nil)
 		k.Run(k.Now() + 2*Microsecond)
 	}); allocs != 0 {
-		t.Fatalf("steady-state After+Run allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state AfterCall+Run with a closure allocates %.1f/op, want 0", allocs)
 	}
 }
 

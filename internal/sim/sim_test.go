@@ -28,7 +28,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	var order []Time
 	for _, at := range []Time{5 * Second, Second, 3 * Second, 2 * Second} {
 		at := at
-		k.At(at, func() { order = append(order, at) })
+		k.AtCall(at, func(any) { order = append(order, at) }, nil)
 	}
 	k.Run(MaxTime)
 	want := []Time{Second, 2 * Second, 3 * Second, 5 * Second}
@@ -47,7 +47,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(Second, func() { order = append(order, i) })
+		k.AtCall(Second, func(any) { order = append(order, i) }, nil)
 	}
 	k.Run(MaxTime)
 	for i, v := range order {
@@ -59,20 +59,20 @@ func TestTieBreakIsFIFO(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(Second, func() {})
+	k.AtCall(Second, func(any) {}, nil)
 	k.Run(MaxTime)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.At(0, func() {})
+	k.AtCall(0, func(any) {}, nil)
 }
 
 func TestCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.At(Second, func() { fired = true })
+	e := k.AtCall(Second, func(any) { fired = true }, nil)
 	if !e.Pending() {
 		t.Fatal("Pending() = false for a queued event")
 	}
@@ -91,7 +91,7 @@ func TestCancel(t *testing.T) {
 	// occupies the recycled slot.
 	e.Cancel()
 	refired := false
-	k.At(10*Second, func() { refired = true })
+	k.AtCall(10*Second, func(any) { refired = true }, nil)
 	e.Cancel()
 	k.Run(20 * Second)
 	if !refired {
@@ -102,8 +102,8 @@ func TestCancel(t *testing.T) {
 func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.At(Second, func() { count++ })
-	k.At(10*Second, func() { count++ })
+	k.AtCall(Second, func(any) { count++ }, nil)
+	k.AtCall(10*Second, func(any) { count++ }, nil)
 	k.Run(5 * Second)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
@@ -120,11 +120,11 @@ func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 func TestStopHaltsLoop(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.At(Second, func() {
+	k.AtCall(Second, func(any) {
 		count++
 		k.Stop()
-	})
-	k.At(2*Second, func() { count++ })
+	}, nil)
+	k.AtCall(2*Second, func(any) { count++ }, nil)
 	k.Run(MaxTime)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1 (Stop should halt)", count)
@@ -134,10 +134,10 @@ func TestStopHaltsLoop(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var hits []Time
-	k.At(Second, func() {
+	k.AtCall(Second, func(any) {
 		hits = append(hits, k.Now())
-		k.After(Second, func() { hits = append(hits, k.Now()) })
-	})
+		k.AfterCall(Second, func(any) { hits = append(hits, k.Now()) }, nil)
+	}, nil)
 	k.Run(MaxTime)
 	if len(hits) != 2 || hits[0] != Second || hits[1] != 2*Second {
 		t.Fatalf("hits = %v", hits)
@@ -147,8 +147,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestStep(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.At(Second, func() { count++ })
-	k.At(2*Second, func() { count++ })
+	k.AtCall(Second, func(any) { count++ }, nil)
+	k.AtCall(2*Second, func(any) { count++ }, nil)
 	if !k.Step() || count != 1 {
 		t.Fatalf("first Step: count=%d", count)
 	}
@@ -202,8 +202,8 @@ func TestTickerStopPreventsRearm(t *testing.T) {
 
 func TestProcessedCountsOnlyExecuted(t *testing.T) {
 	k := NewKernel()
-	e := k.At(Second, func() {})
-	k.At(2*Second, func() {})
+	e := k.AtCall(Second, func(any) {}, nil)
+	k.AtCall(2*Second, func(any) {}, nil)
 	e.Cancel()
 	k.Run(MaxTime)
 	if k.Processed() != 1 {
@@ -224,7 +224,7 @@ func TestPropertyExecutionOrderSorted(t *testing.T) {
 		for _, r := range raw {
 			at := Time(r)
 			want = append(want, at)
-			k.At(at, func() { got = append(got, at) })
+			k.AtCall(at, func(any) { got = append(got, at) }, nil)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		k.Run(MaxTime)
@@ -248,21 +248,21 @@ func TestPropertyMonotonicClock(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	k := NewKernel()
 	last := Time(-1)
-	var schedule func()
-	schedule = func() {
+	var schedule Callback
+	schedule = func(any) {
 		now := k.Now()
 		if now < last {
 			t.Fatalf("clock went backwards: %v < %v", now, last)
 		}
 		last = now
 		if k.Processed() < 5000 {
-			k.After(Time(r.Intn(1000)), schedule)
+			k.AfterCall(Time(r.Intn(1000)), schedule, nil)
 			if r.Intn(3) == 0 {
-				k.After(Time(r.Intn(1000)), schedule)
+				k.AfterCall(Time(r.Intn(1000)), schedule, nil)
 			}
 		}
 	}
-	k.At(0, schedule)
+	k.AtCall(0, schedule, nil)
 	k.Run(MaxTime)
 	if k.Processed() < 5000 {
 		t.Fatalf("ran only %d events", k.Processed())

@@ -56,7 +56,7 @@ func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, c
 		c := &client{
 			d:     d,
 			id:    i,
-			state: model.StartState(),
+			state: model.Start(),
 			think: src.Stream(name + "-think"),
 			pick:  src.Stream(name + "-pick"),
 		}
@@ -75,7 +75,7 @@ func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, c
 // real load generators ramp.
 func (d *Driver) Start() {
 	for _, c := range d.clients {
-		delay := sim.Seconds(c.think.Float64() * d.model.ThinkSeconds(c.think) / 2)
+		delay := sim.Seconds(c.think.Float64() * d.model.Think(c.think) / 2)
 		d.k.AfterCall(delay, clientIssue, c)
 	}
 }
@@ -100,12 +100,12 @@ func clientDone(arg any) {
 		return
 	}
 	rt := (d.k.Now() - c.sentAt).Sec()
-	d.observe(rt, c.res.IsWrite, int(c.res.Kind))
+	d.observe(rt, c.res.IsWrite, int(c.res.Interaction))
 	d.scheduleNext(c)
 }
 
 func (d *Driver) issue(c *client) {
-	c.state = d.model.NextInteraction(c.state, c.pick)
+	c.state = d.model.Next(c.state, c.pick)
 	err := d.app.ExecuteInto(&c.res, c.state, &c.sess, c.pick, d.costs)
 	if err != nil {
 		// An interaction failure is a model bug worth surfacing in
@@ -121,6 +121,6 @@ func (d *Driver) issue(c *client) {
 }
 
 func (d *Driver) scheduleNext(c *client) {
-	think := d.model.ThinkSeconds(c.think)
+	think := d.model.Think(c.think)
 	d.k.AfterCall(sim.Seconds(think), clientIssue, c)
 }

@@ -161,7 +161,7 @@ func (d *OpenDriver) startSession() {
 	d.nextID++
 	s.d = d
 	s.rt.Reset()
-	s.state = d.model.StartState()
+	s.state = d.model.Start()
 	s.remaining = d.life.Geometric(d.sessionMean)
 	s.sess.UserID = id % d.app.TotalUsers()
 	s.sess.ItemID = (id * 7) % d.app.TotalItems()
@@ -184,7 +184,7 @@ func openIssue(arg any) {
 }
 
 func (d *OpenDriver) issue(s *openSession) {
-	s.state = d.model.NextInteraction(s.state, d.behave)
+	s.state = d.model.Next(s.state, d.behave)
 	err := d.app.ExecuteInto(&s.res, s.state, &s.sess, d.behave, d.costs)
 	if err != nil {
 		// Mirror the closed loop: surface the failure in results and
@@ -213,7 +213,7 @@ func openDone(arg any) {
 		return
 	}
 	rt := (d.k.Now() - s.sentAt).Sec()
-	d.observe(rt, s.res.IsWrite, int(s.res.Kind))
+	d.observe(rt, s.res.IsWrite, int(s.res.Interaction))
 	d.afterResponse(s, d.k.Now()-s.sentAt, false)
 }
 
@@ -242,7 +242,7 @@ func (d *OpenDriver) afterResponse(s *openSession, rt sim.Time, faulted bool) {
 		d.endSession(s, true)
 		return
 	}
-	think := d.model.ThinkSeconds(d.behave)
+	think := d.model.Think(d.behave)
 	d.k.AfterCall(sim.Seconds(think), openIssue, s)
 }
 

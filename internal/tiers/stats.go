@@ -23,8 +23,9 @@ type LoadGen interface {
 	MeanResponseTime() float64
 	// ResponseTimeQuantile reports the q-quantile response time (s).
 	ResponseTimeQuantile(q float64) float64
-	// InteractionCounts returns a copy of the per-interaction tally.
-	InteractionCounts() map[rubis.Interaction]uint64
+	// InteractionCounts returns the per-interaction tally, indexed by
+	// kind.
+	InteractionCounts() [rubis.NumInteractions]uint64
 	// RotateWindow closes the current telemetry window, sampling the
 	// in-flight gauge; experiment.Run hooks it onto the sysstat
 	// collector's sampling ticker so the latency series share the
@@ -65,18 +66,17 @@ type driverStats struct {
 
 	rec      *telemetry.Recorder
 	inflight int
-	byKind   map[rubis.Interaction]uint64
+	byKind   [rubis.NumInteractions]uint64
 	writes   uint64
 }
 
-// initStats prepares the tally map and the telemetry recorder, with
-// windows matching the sysstat sampling period; prealloc reserves the
-// recorder's exact reservoir up front so steady-state observation never
-// allocates (the open-loop driver's zero-alloc discipline). The series
-// themselves are sized later, when experiment.Run reserves the
-// duration-derived window count on the recorder.
+// initStats prepares the telemetry recorder, with windows matching the
+// sysstat sampling period; prealloc reserves the recorder's exact
+// reservoir up front so steady-state observation never allocates (the
+// open-loop driver's zero-alloc discipline). The series themselves are
+// sized later, when experiment.Run reserves the duration-derived window
+// count on the recorder.
 func (s *driverStats) initStats(prealloc bool) {
-	s.byKind = make(map[rubis.Interaction]uint64)
 	s.rec = telemetry.NewRecorder(sysstat.SampleInterval.Sec(), 0, prealloc)
 }
 
@@ -151,13 +151,9 @@ func (s *driverStats) WriteFraction() float64 {
 	return float64(s.writes) / float64(s.Completed)
 }
 
-// InteractionCounts returns a copy of the per-interaction tally.
-func (s *driverStats) InteractionCounts() map[rubis.Interaction]uint64 {
-	out := make(map[rubis.Interaction]uint64, len(s.byKind))
-	for k, v := range s.byKind {
-		out[k] = v
-	}
-	return out
+// InteractionCounts implements LoadGen.
+func (s *driverStats) InteractionCounts() [rubis.NumInteractions]uint64 {
+	return s.byKind
 }
 
 // ResponseTimeQuantile reports the q-quantile of observed response

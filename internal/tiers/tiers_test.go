@@ -40,8 +40,8 @@ func newVMRig(t *testing.T, clients int) *vmRig {
 	hv := xen.New(k, host, xen.DefaultParams())
 	webDom := hv.CreateGuest("web", 2, 2<<30, 256)
 	dbDom := hv.CreateGuest("db", 2, 2<<30, 256)
-	webBE := &VMBackend{HV: hv, Dom: webDom, Peer: dbDom}
-	dbBE := &VMBackend{HV: hv, Dom: dbDom, Peer: webDom}
+	webBE := &VMBackend{HV: hv, Dom: webDom}
+	dbBE := &VMBackend{HV: hv, Dom: dbDom}
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(db, nil, 0)
 	paths := []PathPair{{To: VMPath(hv, webDom, dbDom), From: VMPath(hv, dbDom, webDom)}}
@@ -117,9 +117,14 @@ func TestPMDeploymentServesRequests(t *testing.T) {
 	if driver.WriteFraction() <= 0 {
 		t.Fatal("bidding mix should issue writes")
 	}
-	counts := driver.InteractionCounts()
-	if len(counts) < 5 {
-		t.Fatalf("only %d interaction kinds exercised", len(counts))
+	kinds := 0
+	for _, n := range driver.InteractionCounts() {
+		if n > 0 {
+			kinds++
+		}
+	}
+	if kinds < 5 {
+		t.Fatalf("only %d interaction kinds exercised", kinds)
 	}
 }
 
