@@ -386,8 +386,11 @@ func BenchmarkEngineOnly(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh scaled run exercises dataset population (~60k engine
-		// operations) plus the query mix.
+		// A run populates and seals a default dataset (~116k rows)
+		// only when its seed misses the process-wide snapshot cache,
+		// and seeds recur across ops, b.N rounds and -count samples, so
+		// population's share of an op depends on -benchtime and -count.
+		// internal/rubis's BenchmarkPopulate measures population alone.
 		if _, err := vwchar.RunPairScaled(vwchar.Virtualized, uint64(i), 10, 10); err != nil {
 			b.Fatal(err)
 		}

@@ -47,6 +47,14 @@ func (c Config) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("experiment: need positive duration")
 	}
+	if err := c.Dataset.Validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
+	}
+	if c.XenParams != nil {
+		if err := c.XenParams.Validate(); err != nil {
+			return fmt.Errorf("experiment: %w", err)
+		}
+	}
 	if c.Load != nil {
 		// Open-loop runs take their population from the arrival process,
 		// so Clients is ignored rather than validated.

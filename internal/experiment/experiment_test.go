@@ -7,6 +7,7 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
+	"vwchar/internal/xen"
 )
 
 // shortConfig runs a scaled-down experiment quickly.
@@ -32,6 +33,54 @@ func TestRunValidation(t *testing.T) {
 	cfg.Environment = "mainframe"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("unknown environment should error")
+	}
+}
+
+// TestDatasetAndXenParamsValidation: Validate rejects a dataset or a
+// hypervisor cost model the run cannot use, and Run returns that error
+// instead of failing deep in population, panicking in the scheduler or
+// running a nonsensical dataset.
+func TestDatasetAndXenParamsValidation(t *testing.T) {
+	xenWith := func(mut func(*xen.Params)) func(*Config) {
+		return func(c *Config) {
+			p := xen.DefaultParams()
+			mut(&p)
+			c.XenParams = &p
+		}
+	}
+	cases := map[string]func(*Config){
+		"zero regions":          func(c *Config) { c.Dataset.Regions = 0 },
+		"zero categories":       func(c *Config) { c.Dataset.Categories = 0 },
+		"zero users":            func(c *Config) { c.Dataset.Users = 0 },
+		"zero buffer pages":     func(c *Config) { c.Dataset.BufferPages = 0 },
+		"no items":              func(c *Config) { c.Dataset.ActiveItems, c.Dataset.OldItems = 0, 0 },
+		"negative active items": func(c *Config) { c.Dataset.ActiveItems = -1 },
+		"negative old items":    func(c *Config) { c.Dataset.OldItems = -1 },
+		"negative bids":         func(c *Config) { c.Dataset.BidsPerItem = -3 },
+		"negative comments":     func(c *Config) { c.Dataset.CommentsPerUser = -1 },
+		"zero xen params":       func(c *Config) { c.XenParams = &xen.Params{} },
+		"zero quantum":          xenWith(func(p *xen.Params) { p.Quantum = 0 }),
+		"zero vcpu rate":        xenWith(func(p *xen.Params) { p.GuestVCPURate = 0 }),
+		"negative inflation":    xenWith(func(p *xen.Params) { p.VirtCycleInflation = -1 }),
+		"negative backend cost": xenWith(func(p *xen.Params) { p.NetbackCyclesPerByte = -1 }),
+		"NaN amplification":     xenWith(func(p *xen.Params) { p.BlkReadAmplification = math.NaN() }),
+	}
+	for name, mut := range cases {
+		cfg := shortConfig(Virtualized, MixBidding)
+		cfg.Duration = 10 * sim.Second
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the config", name)
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run returned no error", name)
+		}
+	}
+	cfg := DefaultConfig(Virtualized, MixBidding)
+	p := xen.DefaultParams()
+	cfg.XenParams = &p
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("default dataset and xen params: %v", err)
 	}
 }
 

@@ -249,9 +249,6 @@ func (c *CPU) SetSpeed(factor float64) {
 	c.reschedule()
 }
 
-// Speed reports the current scaling factor.
-func (c *CPU) Speed() float64 { return c.speed }
-
 // Utilization reports the busy fraction over the window ending now,
 // given the counter value at the window start.
 func (c *CPU) Utilization(busyAtStart sim.Time, window sim.Time) float64 {

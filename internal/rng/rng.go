@@ -89,9 +89,6 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63n returns a uniform draw in [0,n).
-func (s *Stream) Int63n(n int64) int64 { return s.r.Int63n(n) }
-
 // Uniform returns a uniform draw in [lo,hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.r.Float64()

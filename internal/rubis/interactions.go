@@ -381,11 +381,11 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		res.IsWrite = true
 		id := a.nextUserID
 		a.nextUserID++
+		var name [32]byte
+		row := a.users.Tuple().Int64(id).Bytes(appendName(name[:0], "user", int(id), 6)).
+			Int64(int64(r.Intn(a.Config.Regions))).Int64(0).Float64(0)
 		snap := a.Engine.Snapshot()
-		if _, err := a.users.Insert(rubisdb.Row{
-			id, paddedName("user", int(id), 6),
-			int64(r.Intn(a.Config.Regions)), int64(0), 0.0,
-		}); err != nil {
+		if _, err := a.users.Insert(row); err != nil {
 			return err
 		}
 		a.record(res, snap, 24)
@@ -395,12 +395,14 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		id := a.nextItemID
 		a.nextItemID++
 		price := r.Uniform(1, 500)
+		var name [32]byte
+		row := a.items.Tuple().Int64(id).Bytes(appendName(name[:0], "item-", int(id), 6)).
+			String(itemDescription).
+			Int64(sess.UserID).Int64(sess.CategoryID).
+			Float64(price).Float64(price).
+			Int64(0).Int64(1).Float64(price * 1.6).Int64(0)
 		snap := a.Engine.Snapshot()
-		if _, err := a.items.Insert(rubisdb.Row{
-			id, paddedName("item-", int(id), 6), itemDescription,
-			sess.UserID, sess.CategoryID, price, price,
-			int64(0), int64(1), price * 1.6, int64(0),
-		}); err != nil {
+		if _, err := a.items.Insert(row); err != nil {
 			return err
 		}
 		a.record(res, snap, 24)
@@ -411,10 +413,10 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		id := a.nextBidID
 		a.nextBidID++
 		amount := r.Uniform(1, 900)
+		row := a.bids.Tuple().Int64(id).Int64(sess.UserID).Int64(sess.ItemID).
+			Int64(1).Float64(amount).Int64(0)
 		snap := a.Engine.Snapshot()
-		if _, err := a.bids.Insert(rubisdb.Row{
-			id, sess.UserID, sess.ItemID, int64(1), amount, int64(0),
-		}); err != nil {
+		if _, err := a.bids.Insert(row); err != nil {
 			return err
 		}
 		a.record(res, snap, 24)
@@ -440,10 +442,9 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		res.IsWrite = true
 		id := a.nextBuyNowID
 		a.nextBuyNowID++
+		row := a.buyNow.Tuple().Int64(id).Int64(sess.UserID).Int64(sess.ItemID).Int64(1).Int64(0)
 		snap := a.Engine.Snapshot()
-		if _, err := a.buyNow.Insert(rubisdb.Row{
-			id, sess.UserID, sess.ItemID, int64(1), int64(0),
-		}); err != nil {
+		if _, err := a.buyNow.Insert(row); err != nil {
 			return err
 		}
 		a.record(res, snap, 24)
@@ -452,12 +453,10 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		res.IsWrite = true
 		id := a.nextCommentID
 		a.nextCommentID++
+		row := a.comments.Tuple().Int64(id).Int64(sess.UserID).Int64(sess.ToUserID).Int64(sess.ItemID).
+			Int64(int64(r.Intn(10))).String(commentText)
 		snap := a.Engine.Snapshot()
-		if _, err := a.comments.Insert(rubisdb.Row{
-			id, sess.UserID, sess.ToUserID, sess.ItemID,
-			int64(r.Intn(10)),
-			"Great seller, fast shipping, item exactly as described.",
-		}); err != nil {
+		if _, err := a.comments.Insert(row); err != nil {
 			return err
 		}
 		a.record(res, snap, 24)

@@ -42,13 +42,30 @@ func TestDatasetPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := users.GetByPK(200)
-	if err != nil || row == nil {
+	if found, err := users.Get(200, nil); err != nil || !found {
 		t.Fatalf("user 200 missing: %v", err)
 	}
 	bids, _ := app.Engine.Table("bids")
 	if bids.Rows() == 0 {
 		t.Fatal("no bids populated")
+	}
+}
+
+func TestDatasetConfigValidate(t *testing.T) {
+	for _, cfg := range []DatasetConfig{DefaultDataset(), smallDataset()} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
+	// Old items alone are a valid item population.
+	cfg := smallDataset()
+	cfg.ActiveItems = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("no active items: %v", err)
+	}
+	cfg.OldItems = 0
+	if cfg.Validate() == nil {
+		t.Fatal("a dataset with no items validated")
 	}
 }
 
@@ -103,9 +120,13 @@ func TestWriteInteractionsPersist(t *testing.T) {
 		t.Fatal("StoreBid did not insert")
 	}
 	// The bid also bumps the item's counters.
-	item, _ := app.Engine.MustTable("items").GetByPK(10)
-	if item[7].(int64) != 1 {
-		t.Fatalf("nb_bids = %v after StoreBid", item[7])
+	items := app.Engine.MustTable("items")
+	var nbBids int64
+	if _, err := items.Get(10, func(tuple []byte) { nbBids = items.Schema.Int64At(tuple, 7) }); err != nil {
+		t.Fatal(err)
+	}
+	if nbBids != 1 {
+		t.Fatalf("nb_bids = %d after StoreBid", nbBids)
 	}
 
 	usersBefore := app.TotalUsers()

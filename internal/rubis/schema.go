@@ -48,6 +48,27 @@ func DefaultDataset() DatasetConfig {
 	}
 }
 
+// Validate rejects a dataset population cannot build: a non-positive
+// region, category, user or buffer-page count, no items at all, or a
+// negative item, bid or comment count.
+func (c DatasetConfig) Validate() error {
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{
+		{"Regions", c.Regions, 1}, {"Categories", c.Categories, 1},
+		{"Users", c.Users, 1}, {"BufferPages", c.BufferPages, 1},
+		{"ActiveItems", c.ActiveItems, 0}, {"OldItems", c.OldItems, 0},
+		{"BidsPerItem", c.BidsPerItem, 0}, {"CommentsPerUser", c.CommentsPerUser, 0},
+		{"ActiveItems+OldItems", c.ActiveItems + c.OldItems, 1},
+	} {
+		if f.v < f.least {
+			return fmt.Errorf("rubis: dataset %s = %d, want at least %d", f.name, f.v, f.least)
+		}
+	}
+	return nil
+}
+
 // App is one populated RUBiS database plus its interaction logic.
 type App struct {
 	Engine *rubisdb.Engine
@@ -224,168 +245,125 @@ const itemDescription = "Lorem ipsum dolor sit amet, consectetur adipiscing elit
 	"eiusmod tempor incididunt ut labore et dolore magna aliqua. Ut enim ad minim " +
 	"veniam, quis nostrud exercitation ullamco laboris nisi ut aliquip ex ea commodo."
 
-// paddedName formats prefix + zero-padded i exactly like
-// fmt.Sprintf(prefix+"%0<width>d", i) but without the fmt machinery: the
-// dataset population names a few thousand rows per replication, and the
-// sweep runs hundreds of replications.
-func paddedName(prefix string, i, width int) string {
-	var b [32]byte
-	buf := append(b[:0], prefix...)
-	start := len(buf)
+// commentText is the synthetic text stored per comment.
+const commentText = "Great seller, fast shipping, item exactly as described."
+
+// appendName appends prefix + zero-padded i to dst exactly like
+// fmt.Sprintf(prefix+"%0<width>d", i), but without the fmt machinery
+// or a string: population names tens of thousands of rows per dataset,
+// and a write names one row per request.
+func appendName(dst []byte, prefix string, i, width int) []byte {
+	dst = append(dst, prefix...)
+	start := len(dst)
 	n := 1
 	for lim := 10; n < width || i >= lim; lim *= 10 {
 		n++
 	}
 	for j := 0; j < n; j++ {
-		buf = append(buf, '0')
+		dst = append(dst, '0')
 	}
-	for p := len(buf) - 1; p >= start; p-- {
-		buf[p] = byte('0' + i%10)
+	for p := len(dst) - 1; p >= start; p-- {
+		dst[p] = byte('0' + i%10)
 		i /= 10
 	}
-	return string(buf)
+	return dst
 }
-
-// intBoxes caches boxed int64 values for the dense id ranges the
-// dataset generators emit. Every int64 column in a Row is an `any`, so
-// naive row building boxes each value through runtime.convT64 — ~10% of
-// a sweep's CPU, since population runs per replication. Ids, foreign
-// keys, and small draws are all dense non-negative ranges, so one
-// grow-on-demand box table serves them all; values outside the cap fall
-// back to ordinary boxing.
-type intBoxes []any
-
-// populateBoxCap bounds the cache; sequential bid/comment ids are the
-// largest dense range (tens of thousands at default scale).
-const populateBoxCap = 1 << 20
-
-// newIntBoxes pre-fills boxes for [0, n).
-func newIntBoxes(n int) intBoxes {
-	b := make(intBoxes, n)
-	for i := range b {
-		b[i] = int64(i)
-	}
-	return b
-}
-
-// v returns a cached box for v, extending the cache for sequentially
-// growing id ranges.
-func (b *intBoxes) v(v int64) any {
-	if v < 0 || v >= populateBoxCap {
-		return v
-	}
-	for int64(len(*b)) <= v {
-		*b = append(*b, int64(len(*b)))
-	}
-	return (*b)[v]
-}
-
-// i boxes an int draw.
-func (b *intBoxes) i(v int) any { return b.v(int64(v)) }
 
 // populate loads the dataset through the engine's sorted bulk path:
 // every table's rows are generated in primary-key order (the RNG draw
 // sequence is identical to row-at-a-time insertion), appended to the
 // heap once, and indexed via the B+tree bulk loader — instead of ~60k
 // one-at-a-time Insert descents at the start of every replication.
-// Int64 values go through the intBoxes cache, so row building does not
-// re-box the same dense ids replication after replication.
+// Each row is encoded straight into its table's tuple buffer.
 func (a *App) populate(r *rng.Stream) error {
 	cfg := a.Config
 	totalItems := cfg.ActiveItems + cfg.OldItems
-	box := newIntBoxes(max(cfg.Users, totalItems))
-	rows := make([]rubisdb.Row, 0, cfg.Regions)
-	for i := 0; i < cfg.Regions; i++ {
-		rows = append(rows, rubisdb.Row{box.i(i), paddedName("region-", i, 2)})
-	}
-	if err := a.regions.BulkInsert(rows); err != nil {
+	var name [32]byte
+	err := a.regions.BulkInsert(func(add func(*rubisdb.Tuple)) {
+		for i := 0; i < cfg.Regions; i++ {
+			add(a.regions.Tuple().Int64(int64(i)).Bytes(appendName(name[:0], "region-", i, 2)))
+		}
+	})
+	if err != nil {
 		return err
 	}
-	rows = make([]rubisdb.Row, 0, cfg.Categories)
-	for i := 0; i < cfg.Categories; i++ {
-		rows = append(rows, rubisdb.Row{box.i(i), paddedName("category-", i, 2)})
-	}
-	if err := a.categories.BulkInsert(rows); err != nil {
+	err = a.categories.BulkInsert(func(add func(*rubisdb.Tuple)) {
+		for i := 0; i < cfg.Categories; i++ {
+			add(a.categories.Tuple().Int64(int64(i)).Bytes(appendName(name[:0], "category-", i, 2)))
+		}
+	})
+	if err != nil {
 		return err
 	}
-	rows = make([]rubisdb.Row, 0, cfg.Users)
-	for i := 0; i < cfg.Users; i++ {
-		rows = append(rows, rubisdb.Row{
-			box.i(i),
-			paddedName("user", i, 6),
-			box.i(r.Intn(cfg.Regions)),
-			box.i(r.Intn(10)),
-			r.Uniform(0, 1000),
-		})
-	}
-	if err := a.users.BulkInsert(rows); err != nil {
+	err = a.users.BulkInsert(func(add func(*rubisdb.Tuple)) {
+		for i := 0; i < cfg.Users; i++ {
+			add(a.users.Tuple().Int64(int64(i)).Bytes(appendName(name[:0], "user", i, 6)).
+				Int64(int64(r.Intn(cfg.Regions))).
+				Int64(int64(r.Intn(10))).
+				Float64(r.Uniform(0, 1000)))
+		}
+	})
+	if err != nil {
 		return err
 	}
 	a.nextUserID = int64(cfg.Users)
 
-	rows = make([]rubisdb.Row, 0, totalItems)
-	for i := 0; i < totalItems; i++ {
-		price := r.Uniform(1, 500)
-		rows = append(rows, rubisdb.Row{
-			box.i(i),
-			paddedName("item-", i, 6),
-			itemDescription,
-			box.i(r.Intn(cfg.Users)),
-			box.i(r.Intn(cfg.Categories)),
-			price,
-			price,
-			box.i(0),
-			box.i(1 + r.Intn(5)),
-			price * 1.6,
-			box.i(i % 2), // half "ended", half active (end_date flag)
-		})
-	}
-	if err := a.items.BulkInsert(rows); err != nil {
+	err = a.items.BulkInsert(func(add func(*rubisdb.Tuple)) {
+		for i := 0; i < totalItems; i++ {
+			price := r.Uniform(1, 500)
+			add(a.items.Tuple().Int64(int64(i)).Bytes(appendName(name[:0], "item-", i, 6)).
+				String(itemDescription).
+				Int64(int64(r.Intn(cfg.Users))).
+				Int64(int64(r.Intn(cfg.Categories))).
+				Float64(price).Float64(price).
+				Int64(0).
+				Int64(int64(1 + r.Intn(5))).
+				Float64(price * 1.6).
+				Int64(int64(i % 2))) // half "ended", half active (end_date flag)
+		}
+	})
+	if err != nil {
 		return err
 	}
 	a.nextItemID = int64(totalItems)
 
-	bidID := int64(0)
-	rows = rows[:0]
-	for i := 0; i < totalItems; i++ {
-		n := r.Poisson(float64(cfg.BidsPerItem))
-		for b := 0; b < n; b++ {
-			rows = append(rows, rubisdb.Row{
-				box.v(bidID),
-				box.i(r.Intn(cfg.Users)),
-				box.i(i),
-				box.i(1),
-				r.Uniform(1, 800),
-				box.i(b),
-			})
-			bidID++
+	a.nextBidID = 0
+	err = a.bids.BulkInsert(func(add func(*rubisdb.Tuple)) {
+		for i := 0; i < totalItems; i++ {
+			n := r.Poisson(float64(cfg.BidsPerItem))
+			for b := 0; b < n; b++ {
+				add(a.bids.Tuple().Int64(a.nextBidID).
+					Int64(int64(r.Intn(cfg.Users))).
+					Int64(int64(i)).
+					Int64(1).
+					Float64(r.Uniform(1, 800)).
+					Int64(int64(b)))
+				a.nextBidID++
+			}
 		}
-	}
-	if err := a.bids.BulkInsert(rows); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	a.nextBidID = bidID
 
-	commentID := int64(0)
-	rows = rows[:0]
-	for u := 0; u < cfg.Users; u++ {
-		n := r.Poisson(float64(cfg.CommentsPerUser))
-		for c := 0; c < n; c++ {
-			rows = append(rows, rubisdb.Row{
-				box.v(commentID),
-				box.i(r.Intn(cfg.Users)),
-				box.i(u),
-				box.i(r.Intn(totalItems)),
-				box.i(r.Intn(10)),
-				"Great seller, fast shipping, item exactly as described.",
-			})
-			commentID++
+	a.nextCommentID = 0
+	err = a.comments.BulkInsert(func(add func(*rubisdb.Tuple)) {
+		for u := 0; u < cfg.Users; u++ {
+			n := r.Poisson(float64(cfg.CommentsPerUser))
+			for c := 0; c < n; c++ {
+				add(a.comments.Tuple().Int64(a.nextCommentID).
+					Int64(int64(r.Intn(cfg.Users))).
+					Int64(int64(u)).
+					Int64(int64(r.Intn(totalItems))).
+					Int64(int64(r.Intn(10))).
+					String(commentText))
+				a.nextCommentID++
+			}
 		}
-	}
-	if err := a.comments.BulkInsert(rows); err != nil {
+	})
+	if err != nil {
 		return err
 	}
-	a.nextCommentID = commentID
 	a.nextBuyNowID = 0
 	// Warm checkpoint so runtime write-back reflects steady state.
 	return a.Engine.Checkpoint()

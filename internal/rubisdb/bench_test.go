@@ -213,17 +213,18 @@ func BenchmarkEngineQueryMix(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := int64(0); i < 20000; i++ {
-		if _, err := users.Insert(Row{i, "user", i % 50, int64(0)}); err != nil {
+		if _, err := users.Insert(users.Tuple().Int64(i).String("user").Int64(i % 50).Int64(0)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := e.Snapshot()
-		if _, err := users.GetByPK(int64(i % 20000)); err != nil {
+		if _, err := users.Get(int64(i%20000), nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := users.LookupBy("region", int64(i%50), 10); err != nil {
+		region := int64(i % 50)
+		if err := users.Scan(2, region, region, 10, func([]byte) bool { return true }); err != nil {
 			b.Fatal(err)
 		}
 		_ = e.ReceiptSince(snap)

@@ -2,7 +2,9 @@ package rubisdb
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -276,7 +278,7 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkInsert(mkRows(n)); err != nil {
+	if err := bulkInsertRows(bulk, mkRows(n)); err != nil {
 		t.Fatal(err)
 	}
 	incrEng := NewEngine(512, DefaultCostModel())
@@ -285,7 +287,7 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range mkRows(n) {
-		if _, err := incr.Insert(row); err != nil {
+		if _, err := insertRow(incr, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,25 +295,14 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatalf("rows: bulk=%d incr=%d", bulk.Rows(), incr.Rows())
 	}
 	for _, tbl := range []*Table{bulk, incr} {
-		row, err := tbl.GetByPK(123)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil || row[0] != int64(123) {
-			t.Fatalf("GetByPK: %v", row)
+		if row := curGet(t, tbl, 123); row == nil || row[0] != int64(123) {
+			t.Fatalf("Get: %v", row)
 		}
 	}
 	for reg := int64(0); reg < 7; reg++ {
-		a, err := bulk.LookupBy("region", reg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := incr.LookupBy("region", reg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("region %d: bulk=%d incr=%d rows", reg, len(a), len(b))
+		a, b := curScan(t, bulk, 2, reg, reg, 0, 0), curScan(t, incr, 2, reg, reg, 0, 0)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("region %d: bulk rows %v, incr rows %v", reg, a, b)
 		}
 	}
 	// Same logical write work is metered (hits/misses differ by design).
@@ -327,20 +318,39 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatalf("batched WAL (%v bytes) should undercut per-row framing (%v bytes)", b, i)
 	}
 	// After bulk load the table behaves normally for writes.
-	if _, err := bulk.Insert(Row{int64(n + 1), "late", int64(1), int64(0)}); err != nil {
+	if _, err := insertRow(bulk, Row{int64(n + 1), "late", int64(1), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkInsert(mkRows(1)); err == nil {
+	if err := bulkInsertRows(bulk, mkRows(1)); err == nil {
 		t.Fatal("BulkInsert into populated table should error")
 	}
-	unsorted := []Row{{int64(5), "a", int64(0), int64(0)}, {int64(4), "b", int64(0), int64(0)}}
+	for name, rows := range map[string][]Row{
+		"unsorted":      {{int64(5), "a", int64(0), int64(0)}, {int64(4), "b", int64(0), int64(0)}},
+		"duplicate key": {{int64(5), "a", int64(0), int64(0)}, {int64(5), "b", int64(0), int64(0)}},
+		"short row":     {{int64(5), "a", int64(0)}},
+		"wrong type":    {{int64(5), "a", 1.5, int64(0)}},
+	} {
+		empty := NewEngine(64, DefaultCostModel())
+		et, err := empty.CreateTable("users", usersSchema(), "id", "region")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bulkInsertRows(et, rows); err == nil {
+			t.Fatalf("%s BulkInsert should error", name)
+		}
+	}
+	// The first rejected row ends the load: rows after it are ignored.
 	empty := NewEngine(64, DefaultCostModel())
 	et, err := empty.CreateTable("users", usersSchema(), "id", "region")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := et.BulkInsert(unsorted); err == nil {
-		t.Fatal("unsorted BulkInsert should error")
+	rows := []Row{{int64(1), "a", int64(0), int64(0)}, {int64(2), "b", 0.5, int64(0)}, {int64(3), "c", int64(0), int64(0)}}
+	if err := bulkInsertRows(et, rows); err == nil || !strings.Contains(err.Error(), `"region"`) {
+		t.Fatalf("BulkInsert = %v, want the region type error", err)
+	}
+	if et.Rows() != 1 {
+		t.Fatalf("Rows after a rejected row = %d, want 1", et.Rows())
 	}
 }
 
@@ -367,7 +377,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 	// The ground truth: the images both paths must log.
 	imageBytes := 0
 	for _, row := range rows {
-		img, err := EncodeRow(usersSchema(), row)
+		img, err := encodeRow(usersSchema(), row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +389,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkInsert(rows); err != nil {
+	if err := bulkInsertRows(bulk, rows); err != nil {
 		t.Fatal(err)
 	}
 	incrEng := NewEngine(512, DefaultCostModel())
@@ -388,7 +398,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		if _, err := incr.Insert(row); err != nil {
+		if _, err := insertRow(incr, row); err != nil {
 			t.Fatal(err)
 		}
 	}

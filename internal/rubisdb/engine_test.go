@@ -1,6 +1,7 @@
 package rubisdb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,9 @@ func TestPageFillsUp(t *testing.T) {
 	n := 0
 	for {
 		if _, err := p.InsertCell(payload); err != nil {
+			if !errors.Is(err, ErrPageFull) {
+				t.Fatalf("full page: %v, want ErrPageFull", err)
+			}
 			break
 		}
 		n++
@@ -229,7 +233,7 @@ func TestHeapInsertFetchAcrossPages(t *testing.T) {
 		t.Fatalf("expected multiple pages, got %d", store.PageCount(3))
 	}
 	for _, rid := range rids {
-		got, err := h.Fetch(rid)
+		got, err := fetchCopy(h, rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +302,11 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		{Name: "name", Type: TString},
 	}
 	row := Row{int64(-7), 3.25, "widget"}
-	data, err := EncodeRow(schema, row)
+	data, err := encodeRow(schema, row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRow(schema, data)
+	got, err := decodeRow(schema, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,16 +317,33 @@ func TestRowCodecRoundTrip(t *testing.T) {
 
 func TestRowCodecErrors(t *testing.T) {
 	schema := Schema{{Name: "id", Type: TInt64}}
-	if _, err := EncodeRow(schema, Row{"nope"}); err == nil {
+	if _, err := encodeRow(schema, Row{"nope"}); err == nil {
 		t.Fatal("type mismatch should error")
 	}
-	if _, err := EncodeRow(schema, Row{int64(1), int64(2)}); err == nil {
-		t.Fatal("arity mismatch should error")
+	if _, err := encodeRow(schema, Row{int64(1), int64(2)}); err == nil {
+		t.Fatal("arity overflow should error")
 	}
-	if _, err := DecodeRow(schema, []byte{1, 2}); err == nil {
+	if _, err := encodeRow(schema, Row{}); err == nil {
+		t.Fatal("short tuple should error")
+	}
+	long := Schema{{Name: "s", Type: TString}}
+	if _, err := encodeRow(long, Row{strings.Repeat("x", 0x10000)}); err == nil {
+		t.Fatal("string over 0xFFFF bytes should error")
+	}
+	if _, err := encodeRow(long, Row{strings.Repeat("x", 0xFFFF)}); err != nil {
+		t.Fatalf("string of 0xFFFF bytes: %v", err)
+	}
+	// The first error sticks: later well-typed fields do not clear it.
+	if _, err := encodeRow(Schema{{Name: "a", Type: TFloat64}, {Name: "b", Type: TInt64}}, Row{int64(1), int64(2)}); err == nil {
+		t.Fatal("a type error followed by a valid field should still error")
+	}
+	if _, err := encodeRow(Schema{{Name: "x", Type: ColType(9)}}, Row{int64(1)}); err == nil {
+		t.Fatal("a column of unknown type should reject every field")
+	}
+	if _, err := decodeRow(schema, []byte{1, 2}); err == nil {
 		t.Fatal("truncated tuple should error")
 	}
-	if _, err := DecodeRow(schema, append(make([]byte, 8), 0xFF)); err == nil {
+	if _, err := decodeRow(schema, append(make([]byte, 8), 0xFF)); err == nil {
 		t.Fatal("trailing bytes should error")
 	}
 }
@@ -348,41 +369,32 @@ func TestEngineCreateInsertQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 500; i++ {
-		_, err := users.Insert(Row{i, "user", i % 10, int64(0)})
+		_, err := insertRow(users, Row{i, "user", i % 10, int64(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	row, err := users.GetByPK(123)
-	if err != nil {
-		t.Fatal(err)
+	if row := curGet(t, users, 123); row == nil || row[0] != int64(123) {
+		t.Fatalf("Get: %v", row)
 	}
-	if row == nil || row[0] != int64(123) {
-		t.Fatalf("GetByPK: %v", row)
-	}
-	if row, _ := users.GetByPK(9999); row != nil {
+	if row := curGet(t, users, 9999); row != nil {
 		t.Fatal("absent pk should return nil row")
 	}
-	inRegion, err := users.LookupBy("region", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inRegion) != 50 {
+	if inRegion := curScan(t, users, 2, 3, 3, 0, 0); len(inRegion) != 50 {
 		t.Fatalf("region lookup returned %d rows", len(inRegion))
 	}
-	n, err := users.CountBy("region", 0, 4)
+	n, err := users.Count(2, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 250 {
-		t.Fatalf("CountBy = %d", n)
+		t.Fatalf("Count = %d", n)
 	}
-	limited, err := users.RangeBy("id", 0, 499, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != 25 {
+	if limited := curScan(t, users, 0, 0, 499, 25, 0); len(limited) != 25 {
 		t.Fatalf("limit ignored: %d", len(limited))
+	}
+	if err := users.Scan(1, 0, 1, 0, func([]byte) bool { return true }); err == nil {
+		t.Fatal("Scan on an unindexed column should error")
 	}
 }
 
@@ -401,11 +413,27 @@ func TestEngineConstraints(t *testing.T) {
 	if _, err := e.CreateTable("bad2", usersSchema(), "id", "nickname"); err == nil {
 		t.Fatal("string secondary index should error")
 	}
-	if _, err := users.Insert(Row{int64(1), "a", int64(0), int64(0)}); err != nil {
+	if _, err := insertRow(users, Row{int64(1), "a", int64(0), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := users.Insert(Row{int64(1), "b", int64(0), int64(0)}); err == nil {
+	if _, err := insertRow(users, Row{int64(1), "b", int64(0), int64(0)}); err == nil {
 		t.Fatal("duplicate pk should error")
+	}
+	if _, err := insertRow(users, Row{int64(2), "c", int64(0)}); err == nil {
+		t.Fatal("short row should error")
+	}
+	if _, err := insertRow(users, Row{int64(2), "c", 0.5, int64(0)}); err == nil {
+		t.Fatal("wrong column type should error")
+	}
+	other, err := e.CreateTable("other", usersSchema(), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := users.Insert(fillTuple(other.Tuple(), Row{int64(2), "d", int64(0), int64(0)})); err == nil {
+		t.Fatal("a tuple started on another table should error")
+	}
+	if users.Rows() != 1 || e.Meter().RowsWritten != 1 {
+		t.Fatalf("rejected rows were stored: Rows = %d, RowsWritten = %d", users.Rows(), e.Meter().RowsWritten)
 	}
 	if _, err := e.Table("missing"); err == nil {
 		t.Fatal("missing table should error")
@@ -424,13 +452,13 @@ func TestEngineUpdateNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := items.Insert(Row{int64(1), "vase", 10.0, int64(0), int64(9)}); err != nil {
+	if _, err := insertRow(items, Row{int64(1), "vase", 10.0, int64(0), int64(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := items.UpdateNumeric(1, SetFloat64(2, 12.5), SetInt64(3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	row, _ := items.GetByPK(1)
+	row := curGet(t, items, 1)
 	if row[2] != 12.5 || row[3] != int64(1) {
 		t.Fatalf("update lost: %v", row)
 	}
@@ -458,14 +486,12 @@ func TestEngineReceipts(t *testing.T) {
 	e := newTestEngine(t)
 	users, _ := e.CreateTable("users", usersSchema(), "id", "region")
 	for i := int64(0); i < 100; i++ {
-		if _, err := users.Insert(Row{i, "u", i % 5, int64(0)}); err != nil {
+		if _, err := insertRow(users, Row{i, "u", i % 5, int64(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := e.Snapshot()
-	if _, err := users.LookupBy("region", 2, 0); err != nil {
-		t.Fatal(err)
-	}
+	curScan(t, users, 2, 2, 2, 0, 0)
 	r := e.ReceiptSince(snap)
 	if r.Work.RowsRead != 20 {
 		t.Fatalf("receipt rows = %d", r.Work.RowsRead)
@@ -478,7 +504,7 @@ func TestEngineReceipts(t *testing.T) {
 	}
 	// A write receipt carries WAL traffic.
 	snap = e.Snapshot()
-	if _, err := users.Insert(Row{int64(1000), "w", int64(0), int64(0)}); err != nil {
+	if _, err := insertRow(users, Row{int64(1000), "w", int64(0), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
 	r = e.ReceiptSince(snap)
@@ -494,7 +520,7 @@ func TestEngineBufferWarmupImprovesHitRatio(t *testing.T) {
 	e := NewEngine(4096, DefaultCostModel())
 	users, _ := e.CreateTable("users", usersSchema(), "id", "region")
 	for i := int64(0); i < 2000; i++ {
-		if _, err := users.Insert(Row{i, strings.Repeat("u", 40), i % 50, int64(0)}); err != nil {
+		if _, err := insertRow(users, Row{i, strings.Repeat("u", 40), i % 50, int64(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,13 +529,13 @@ func TestEngineBufferWarmupImprovesHitRatio(t *testing.T) {
 	}
 	before := e.Meter()
 	for i := int64(0); i < 2000; i++ {
-		if _, err := users.GetByPK(i); err != nil {
+		if _, err := users.Get(i, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mid := e.Meter().Sub(before)
 	for i := int64(0); i < 2000; i++ {
-		if _, err := users.GetByPK(i); err != nil {
+		if _, err := users.Get(i, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -536,11 +562,11 @@ func TestPropertyRowCodecRoundTrip(t *testing.T) {
 		if len(c) > 0xFFFF {
 			c = c[:0xFFFF]
 		}
-		data, err := EncodeRow(schema, Row{a, b, c})
+		data, err := encodeRow(schema, Row{a, b, c})
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRow(schema, data)
+		got, err := decodeRow(schema, data)
 		if err != nil {
 			return false
 		}

@@ -128,8 +128,8 @@ func TestHeapPropagatesStorageFailures(t *testing.T) {
 		nf.Unpin(false)
 	}
 	fs.failReads = true
-	if _, err := h.Fetch(rid); !errors.Is(err, errInjected) {
-		t.Fatalf("Fetch should surface storage failure, got %v", err)
+	if _, err := fetchCopy(h, rid); !errors.Is(err, errInjected) {
+		t.Fatalf("fetch should surface storage failure, got %v", err)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestHeapFetchBadSlot(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := RID{PageNo: rid.PageNo, Slot: 99}
-	if _, err := h.Fetch(bad); err == nil {
+	if _, err := fetchCopy(h, bad); err == nil {
 		t.Fatal("fetching a bogus slot should error")
 	}
 }

@@ -82,17 +82,6 @@ func (h *Heap) pin(rid RID) (*Frame, []byte, error) {
 	return f, cell, nil
 }
 
-// Fetch returns a copy of the tuple at rid.
-func (h *Heap) Fetch(rid RID) ([]byte, error) {
-	f, cell, err := h.pin(rid)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), cell...)
-	f.Unpin(false)
-	return out, nil
-}
-
 // UpdateInPlace overwrites the tuple at rid with a same-length payload.
 func (h *Heap) UpdateInPlace(rid RID, tuple []byte) error {
 	f, err := h.pool.GetMut(PageID{File: h.file, PageNo: rid.PageNo})

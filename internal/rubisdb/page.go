@@ -13,6 +13,7 @@ package rubisdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -71,12 +72,17 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
-// InsertCell appends a cell and returns its slot index. It returns an
-// error when the cell does not fit; callers allocate a fresh page then.
+// ErrPageFull reports that a cell does not fit in a page's free space.
+var ErrPageFull = errors.New("rubisdb: page full")
+
+// InsertCell appends a cell and returns its slot index. It returns
+// ErrPageFull when the cell does not fit; callers allocate a fresh page
+// then.
 func (p Page) InsertCell(data []byte) (int, error) {
-	need := len(data) + 4 // 2 slot bytes + 2 length bytes
-	if p.FreeSpace() < need-2 {
-		return 0, fmt.Errorf("rubisdb: page full (%d free, %d needed)", p.FreeSpace(), need)
+	// FreeSpace already reserves the slot entry; the cell adds a u16
+	// length prefix.
+	if p.FreeSpace() < len(data)+2 {
+		return 0, ErrPageFull
 	}
 	end := p.freeEnd()
 	start := end - len(data) - 2

@@ -21,11 +21,12 @@ func buildPopulated(t testing.TB, rows, bufferPages int) (*Engine, *Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]Row, 0, rows)
-	for i := int64(0); i < int64(rows); i++ {
-		batch = append(batch, Row{i, fmt.Sprintf("user%06d", i), i % 50, int64(0)})
-	}
-	if err := tb.BulkInsert(batch); err != nil {
+	err = tb.BulkInsert(func(add func(*Tuple)) {
+		for i := int64(0); i < int64(rows); i++ {
+			add(tb.Tuple().Int64(i).String(fmt.Sprintf("user%06d", i)).Int64(i % 50).Int64(0))
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {
@@ -70,7 +71,7 @@ func writeHeavyMix(t testing.TB, tb *Table, base int64, ops int, seed int64) {
 	for i := 0; i < ops; i++ {
 		switch r.Intn(4) {
 		case 0, 1:
-			if _, err := tb.Insert(Row{next, "view-user", next % 50, int64(0)}); err != nil {
+			if _, err := tb.Insert(tb.Tuple().Int64(next).String("view-user").Int64(next % 50).Int64(0)); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -79,7 +80,8 @@ func writeHeavyMix(t testing.TB, tb *Table, base int64, ops int, seed int64) {
 				t.Fatal(err)
 			}
 		case 3:
-			if _, err := tb.LookupBy("region", int64(r.Intn(50)), 8); err != nil {
+			region := int64(r.Intn(50))
+			if err := tb.Scan(2, region, region, 8, func([]byte) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,15 +118,10 @@ func TestConcurrentViewsDoNotPerturbGoldenOrEachOther(t *testing.T) {
 	}
 	for i, v := range views {
 		tb := v.MustTable("users")
-		own, err := tb.GetByPK(bases[i])
-		if err != nil || own == nil {
-			t.Fatalf("view %d lost its own insert (row=%v err=%v)", i, own, err)
+		if own := curGet(t, tb, bases[i]); own == nil {
+			t.Fatalf("view %d lost its own insert", i)
 		}
-		other, err := tb.GetByPK(bases[1-i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if other != nil {
+		if other := curGet(t, tb, bases[1-i]); other != nil {
 			t.Fatalf("view %d sees view %d's insert: cross-replication bleed", i, 1-i)
 		}
 	}
@@ -157,14 +154,7 @@ func TestViewMatchesFreshEngine(t *testing.T) {
 		fresh.wal.Flushes != view.wal.Flushes || fresh.wal.TotalBytes != view.wal.TotalBytes {
 		t.Fatalf("WAL state diverged: fresh %+v view %+v", *fresh.wal, *view.wal)
 	}
-	fr, err := freshTb.GetByPK(1<<20 + 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := viewTb.GetByPK(1<<20 + 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, vr := curGet(t, freshTb, 1<<20+3), curGet(t, viewTb, 1<<20+3)
 	if fmt.Sprint(fr) != fmt.Sprint(vr) {
 		t.Fatalf("row diverged: fresh %v view %v", fr, vr)
 	}
@@ -191,8 +181,8 @@ func TestRearmRewindsView(t *testing.T) {
 	if v.Meter() != sealedMeter {
 		t.Fatalf("Rearm did not restore the sealed meter: %+v vs %+v", v.Meter(), sealedMeter)
 	}
-	if row, err := v.MustTable("users").GetByPK(1 << 20); err != nil || row != nil {
-		t.Fatalf("Rearm leaked a private write (row=%v err=%v)", row, err)
+	if row := curGet(t, v.MustTable("users"), 1<<20); row != nil {
+		t.Fatalf("Rearm leaked a private write (row=%v)", row)
 	}
 	// The probe above metered a couple of page hits; rearm again so the
 	// second run replays from the exact sealed state.

@@ -36,97 +36,89 @@ func (s Schema) ColIndex(name string) (int, error) {
 	return 0, fmt.Errorf("rubisdb: no column %q", name)
 }
 
-// Row is one tuple; element i must match Schema[i].Type (int64, float64,
-// or string).
-type Row []any
+var typeNames = [...]string{TInt64: "int64", TFloat64: "float64", TString: "string"}
 
-// EncodeRow serializes row against schema. Int64 and Float64 are 8 bytes
-// big-endian; strings are length-prefixed (u16).
-func EncodeRow(schema Schema, row Row) ([]byte, error) {
-	return AppendRow(schema, nil, row)
+// String names the column type.
+func (c ColType) String() string {
+	if uint(c) < uint(len(typeNames)) {
+		return typeNames[c]
+	}
+	return fmt.Sprintf("ColType(%d)", int(c))
 }
 
-// AppendRow serializes row against schema, appending to dst and
-// returning the extended buffer. Every storage-side consumer of a tuple
-// copies it (pages, the WAL framing buffer), so hot paths pass a reused
-// scratch buffer and encode without allocating.
-func AppendRow(schema Schema, dst []byte, row Row) ([]byte, error) {
-	if len(row) != len(schema) {
-		return nil, fmt.Errorf("rubisdb: row arity %d != schema arity %d", len(row), len(schema))
-	}
-	out := dst
-	for i, col := range schema {
-		switch col.Type {
-		case TInt64:
-			v, ok := row[i].(int64)
-			if !ok {
-				return nil, fmt.Errorf("rubisdb: column %q wants int64, got %T", col.Name, row[i])
-			}
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], uint64(v))
-			out = append(out, b[:]...)
-		case TFloat64:
-			v, ok := row[i].(float64)
-			if !ok {
-				return nil, fmt.Errorf("rubisdb: column %q wants float64, got %T", col.Name, row[i])
-			}
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-			out = append(out, b[:]...)
-		case TString:
-			v, ok := row[i].(string)
-			if !ok {
-				return nil, fmt.Errorf("rubisdb: column %q wants string, got %T", col.Name, row[i])
-			}
-			if len(v) > 0xFFFF {
-				return nil, fmt.Errorf("rubisdb: column %q string too long (%d)", col.Name, len(v))
-			}
-			var b [2]byte
-			binary.BigEndian.PutUint16(b[:], uint16(len(v)))
-			out = append(out, b[:]...)
-			out = append(out, v...)
-		default:
-			return nil, fmt.Errorf("rubisdb: column %q has unknown type %d", col.Name, col.Type)
-		}
-	}
-	return out, nil
+// Tuple builds one row of a table in the table's reused encoding buffer.
+// Fields are appended in schema order: Int64 and Float64 as 8 bytes
+// big-endian, String and Bytes as a u16 length prefix and the bytes. A
+// field of the wrong type, a field past the schema's arity or a string
+// over 0xFFFF bytes records the tuple's error, as does a tuple short of
+// the arity; Insert and BulkInsert return it instead of storing the
+// row. Start each row with Table.Tuple. Pages and the WAL copy what
+// they store, so one buffer per table serves every write; a tuple is
+// valid until the next Tuple or UpdateNumeric on its table.
+type Tuple struct {
+	schema Schema
+	buf    []byte
+	col    int
+	err    error
 }
 
-// DecodeRow parses a tuple serialized by EncodeRow.
-func DecodeRow(schema Schema, data []byte) (Row, error) {
-	row := make(Row, 0, len(schema))
-	off := 0
-	for _, col := range schema {
-		switch col.Type {
-		case TInt64:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
-			}
-			row = append(row, int64(binary.BigEndian.Uint64(data[off:])))
-			off += 8
-		case TFloat64:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
-			}
-			row = append(row, math.Float64frombits(binary.BigEndian.Uint64(data[off:])))
-			off += 8
-		case TString:
-			if off+2 > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
-			}
-			n := int(binary.BigEndian.Uint16(data[off:]))
-			off += 2
-			if off+n > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated string at column %q", col.Name)
-			}
-			row = append(row, string(data[off:off+n]))
-			off += n
-		}
+// Tuple starts a new, empty row for t.
+func (t *Table) Tuple() *Tuple {
+	t.tuple = Tuple{schema: t.Schema, buf: t.tuple.buf[:0]}
+	return &t.tuple
+}
+
+// Int64 appends an int64 field.
+func (b *Tuple) Int64(v int64) *Tuple {
+	if b.field(TInt64) {
+		b.buf = binary.BigEndian.AppendUint64(b.buf, uint64(v))
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("rubisdb: %d trailing bytes after tuple", len(data)-off)
+	return b
+}
+
+// Float64 appends a float64 field.
+func (b *Tuple) Float64(v float64) *Tuple {
+	if b.field(TFloat64) {
+		b.buf = binary.BigEndian.AppendUint64(b.buf, math.Float64bits(v))
 	}
-	return row, nil
+	return b
+}
+
+// String appends a string field.
+func (b *Tuple) String(v string) *Tuple { return appendString(b, v) }
+
+// Bytes appends a string field held in a byte slice, so a caller can
+// format a value into a stack buffer instead of building a string.
+func (b *Tuple) Bytes(v []byte) *Tuple { return appendString(b, v) }
+
+func appendString[S string | []byte](b *Tuple, v S) *Tuple {
+	if !b.field(TString) {
+		return b
+	}
+	if len(v) > 0xFFFF {
+		b.err = fmt.Errorf("rubisdb: column %q string too long (%d)", b.schema[b.col-1].Name, len(v))
+		return b
+	}
+	b.buf = binary.BigEndian.AppendUint16(b.buf, uint16(len(v)))
+	b.buf = append(b.buf, v...)
+	return b
+}
+
+// field checks that the next column has type typ and moves past it.
+func (b *Tuple) field(typ ColType) bool {
+	switch {
+	case b.err != nil:
+		return false
+	case b.col == len(b.schema):
+		b.err = fmt.Errorf("rubisdb: row has more fields than the schema's %d", len(b.schema))
+		return false
+	case b.schema[b.col].Type != typ:
+		c := b.schema[b.col]
+		b.err = fmt.Errorf("rubisdb: column %q wants %s, got %s", c.Name, c.Type, typ)
+		return false
+	}
+	b.col++
+	return true
 }
 
 // Table is a heap file with a unique int64 primary key index and any
@@ -143,9 +135,8 @@ type Table struct {
 	secs    []*BTree
 
 	engine *Engine
-	// rowScratch is the reused tuple-encoding buffer for this table's
-	// write paths; safe because pages and the WAL copy the bytes.
-	rowScratch []byte
+	// tuple is the reused row builder of this table's write paths.
+	tuple Tuple
 	// rids is the reused RID scratch of Scan.
 	rids []RID
 }
@@ -156,31 +147,30 @@ const (
 	walUpdate = 2
 )
 
-// encode serializes row into the table's reused scratch buffer. The
-// returned slice is valid until the next encode on this table.
-func (t *Table) encode(row Row) ([]byte, error) {
-	buf, err := AppendRow(t.Schema, t.rowScratch[:0], row)
-	if err != nil {
-		return nil, err
+// encoded returns the bytes of row, which must come from t.Tuple, or
+// the error building it recorded.
+func (t *Table) encoded(row *Tuple) ([]byte, error) {
+	switch {
+	case row != &t.tuple:
+		return nil, fmt.Errorf("table %s: tuple was not started by this table", t.Name)
+	case row.err != nil:
+		return nil, fmt.Errorf("table %s: %w", t.Name, row.err)
+	case row.col != len(t.Schema):
+		return nil, fmt.Errorf("table %s: row arity %d != schema arity %d", t.Name, row.col, len(t.Schema))
 	}
-	t.rowScratch = buf
-	return buf, nil
+	return row.buf, nil
 }
 
-// Insert validates and stores row, maintaining all indexes, and returns
-// its RID.
-func (t *Table) Insert(row Row) (RID, error) {
-	tuple, err := t.encode(row)
+// Insert stores row, maintaining all indexes, and returns its RID.
+func (t *Table) Insert(row *Tuple) (RID, error) {
+	tuple, err := t.encoded(row)
 	if err != nil {
-		return RID{}, fmt.Errorf("table %s: %w", t.Name, err)
-	}
-	key, ok := row[t.pkCol].(int64)
-	if !ok {
-		return RID{}, fmt.Errorf("table %s: primary key must be int64", t.Name)
-	}
-	if existing, err := t.pk.Search(key); err != nil {
 		return RID{}, err
-	} else if len(existing) > 0 {
+	}
+	key := t.Schema.Int64At(tuple, t.pkCol)
+	if _, dup, err := t.lookupPK(key); err != nil {
+		return RID{}, err
+	} else if dup {
 		return RID{}, fmt.Errorf("table %s: duplicate primary key %d", t.Name, key)
 	}
 	rid, err := t.heap.Insert(tuple)
@@ -191,11 +181,7 @@ func (t *Table) Insert(row Row) (RID, error) {
 		return RID{}, err
 	}
 	for i, col := range t.secCols {
-		sk, ok := row[col].(int64)
-		if !ok {
-			return RID{}, fmt.Errorf("table %s: secondary key column %d must be int64", t.Name, col)
-		}
-		if err := t.secs[i].Insert(sk, rid.Encode()); err != nil {
+		if err := t.secs[i].Insert(t.Schema.Int64At(tuple, col), rid.Encode()); err != nil {
 			return RID{}, err
 		}
 	}
@@ -207,42 +193,33 @@ func (t *Table) Insert(row Row) (RID, error) {
 // BulkInsert loads rows into an empty table through the sorted
 // bulk-load path: tuples are appended to the heap once, then the
 // primary-key and secondary indexes are built with BTree.BulkLoad
-// instead of one root-to-leaf descent per row. Rows must be sorted by
-// strictly ascending primary key (the dataset generators emit them that
-// way); secondary entries are sorted here before loading. WAL traffic
-// is batched — one framed record per heap page of rows rather than one
-// per row (the LOAD DATA shape) — carrying the same row images with far
-// less framing overhead.
-func (t *Table) BulkInsert(rows []Row) error {
+// instead of one root-to-leaf descent per row. fill emits the rows: it
+// builds each with t.Tuple and passes it to add, in strictly ascending
+// primary-key order (the dataset generators emit them that way). The
+// first row add rejects ends the load: later rows are ignored and
+// BulkInsert returns that error. Secondary entries are sorted here
+// before loading. WAL traffic is batched — one framed record per
+// heap page of rows rather than one per row (the LOAD DATA shape) —
+// carrying the same row images with far less framing overhead.
+func (t *Table) BulkInsert(fill func(add func(row *Tuple))) error {
 	if t.heap.Rows != 0 || t.pk.Len() != 0 {
 		return fmt.Errorf("table %s: BulkInsert needs an empty table", t.Name)
 	}
-	if len(rows) == 0 {
-		return nil
-	}
-	pkEntries := make([]Entry, 0, len(rows))
+	var pkEntries []Entry
 	secEntries := make([][]Entry, len(t.secCols))
-	for i := range secEntries {
-		secEntries[i] = make([]Entry, 0, len(rows))
-	}
-	var lastKey int64
 	// One WAL record accumulates per heap page; rows land on ascending
 	// pages, so a page switch means the previous batch is complete.
 	var batchPage uint32
 	var batchRows, batchBytes int
-	for ri, row := range rows {
-		tuple, err := t.encode(row)
+	add := func(row *Tuple) error {
+		tuple, err := t.encoded(row)
 		if err != nil {
-			return fmt.Errorf("table %s: %w", t.Name, err)
+			return err
 		}
-		key, ok := row[t.pkCol].(int64)
-		if !ok {
-			return fmt.Errorf("table %s: primary key must be int64", t.Name)
+		key := t.Schema.Int64At(tuple, t.pkCol)
+		if n := len(pkEntries); n > 0 && key <= pkEntries[n-1].Key {
+			return fmt.Errorf("table %s: BulkInsert rows must be sorted by unique primary key (%d after %d)", t.Name, key, pkEntries[n-1].Key)
 		}
-		if ri > 0 && key <= lastKey {
-			return fmt.Errorf("table %s: BulkInsert rows must be sorted by unique primary key (%d after %d)", t.Name, key, lastKey)
-		}
-		lastKey = key
 		rid, err := t.heap.Insert(tuple)
 		if err != nil {
 			return err
@@ -255,15 +232,21 @@ func (t *Table) BulkInsert(rows []Row) error {
 		batchRows++
 		batchBytes += len(tuple)
 		enc := rid.Encode()
-		pkEntries = append(pkEntries, Entry{Key: key, Value: enc})
+		pkEntries = appendEntry(pkEntries, Entry{Key: key, Value: enc})
 		for si, col := range t.secCols {
-			sk, ok := row[col].(int64)
-			if !ok {
-				return fmt.Errorf("table %s: secondary key column %d must be int64", t.Name, col)
-			}
-			secEntries[si] = append(secEntries[si], Entry{Key: sk, Value: enc})
+			secEntries[si] = appendEntry(secEntries[si], Entry{Key: t.Schema.Int64At(tuple, col), Value: enc})
 		}
 		t.engine.meter.RowsWritten++
+		return nil
+	}
+	var err error
+	fill(func(row *Tuple) {
+		if err == nil {
+			err = add(row)
+		}
+	})
+	if err != nil {
+		return err
 	}
 	if batchRows > 0 {
 		t.engine.wal.AppendBatchRecord(t.id, walInsert, batchRows, batchBytes)
@@ -278,6 +261,16 @@ func (t *Table) BulkInsert(rows []Row) error {
 		}
 	}
 	return nil
+}
+
+// appendEntry appends e, doubling a full slice: the row count of a bulk
+// load is not known up front, and append's 1.25x growth of large slices
+// would allocate about five times the final index entries.
+func appendEntry(s []Entry, e Entry) []Entry {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	return append(s, e)
 }
 
 // sortEntriesByKey sorts index entries by (Key, Value). BulkInsert
@@ -346,20 +339,18 @@ func compareEntries(a, b Entry) int {
 }
 
 // Row cursor. Get and Scan hand the caller each fetched tuple's bytes
-// straight from the pinned heap page, with no copy and no boxing into a
-// Row; typed accessors such as Schema.Int64At read single columns from
-// them. The contract:
+// straight from the pinned heap page, with no copy; typed accessors such
+// as Schema.Int64At read single columns from them. The contract:
 //
 //   - The tuple bytes alias the buffer-pool page and are valid only
 //     inside fn. Copy what must outlive the call.
 //   - fn must not call back into the same engine. Each tuple's page stays
 //     pinned while fn runs, and a nested lookup would both see that pin
 //     and interleave its page touches with the cursor's.
-//   - The cursor makes the same buffer-pool Get calls, in the same order,
-//     and the same meter increments (RowsRead, BytesOut per fetched
-//     tuple) as decoding every row would. Page hits and misses feed the
-//     DB tier's cost receipts, so the decoding wrappers (GetByPK,
-//     RangeBy, LookupBy) are built on the cursor rather than beside it.
+//   - Every fetched tuple pins its heap page once and is metered as one
+//     RowsRead plus its length in BytesOut. Page hits and misses feed
+//     the DB tier's cost receipts, so the pin sequence is part of the
+//     simulated output.
 
 // Get calls fn with the tuple whose primary key is key and reports
 // whether one exists. A nil fn probes and meters the row without
@@ -493,60 +484,6 @@ func (s Schema) Int64At(tuple []byte, col int) int64 {
 	return int64(binary.BigEndian.Uint64(tuple[s.offset(tuple, col):]))
 }
 
-// GetByPK returns the row with the given primary key, or nil when
-// absent. It decodes the tuple Get hands over.
-func (t *Table) GetByPK(key int64) (Row, error) {
-	var row Row
-	var derr error
-	if _, err := t.Get(key, func(tuple []byte) {
-		row, derr = DecodeRow(t.Schema, tuple)
-	}); err != nil {
-		return nil, err
-	}
-	return row, derr
-}
-
-// LookupBy returns up to limit rows whose indexed column equals key
-// (limit <= 0 means unlimited). The column must have a secondary index.
-func (t *Table) LookupBy(column string, key int64, limit int) ([]Row, error) {
-	return t.RangeBy(column, key, key, limit)
-}
-
-// RangeBy returns up to limit rows with lo <= column <= hi in index
-// order, decoding the tuples Scan hands over. The column must be the
-// primary key or carry a secondary index.
-func (t *Table) RangeBy(column string, lo, hi int64, limit int) ([]Row, error) {
-	ci, err := t.Schema.ColIndex(column)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	var derr error
-	err = t.Scan(ci, lo, hi, limit, func(tuple []byte) bool {
-		var row Row
-		row, derr = DecodeRow(t.Schema, tuple)
-		rows = append(rows, row)
-		return derr == nil
-	})
-	if err == nil {
-		err = derr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// CountBy counts index entries with lo <= column <= hi without fetching
-// rows (an index-only scan).
-func (t *Table) CountBy(column string, lo, hi int64) (int, error) {
-	ci, err := t.Schema.ColIndex(column)
-	if err != nil {
-		return 0, err
-	}
-	return t.Count(ci, lo, hi)
-}
-
 // Set is one fixed-width column assignment for UpdateNumeric.
 type Set struct {
 	Col  int
@@ -600,9 +537,10 @@ func (t *Table) UpdateNumeric(key int64, sets ...Set) error {
 	if err != nil {
 		return err
 	}
-	tuple := append(t.rowScratch[:0], old...)
+	b := t.Tuple()
+	b.buf = append(b.buf, old...)
+	tuple := b.buf
 	f.Unpin(false)
-	t.rowScratch = tuple
 	for _, s := range sets {
 		binary.BigEndian.PutUint64(tuple[t.Schema.offset(tuple, s.Col):], s.bits)
 	}

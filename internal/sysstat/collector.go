@@ -2,7 +2,6 @@ package sysstat
 
 import (
 	"fmt"
-	"sort"
 
 	"vwchar/internal/sim"
 	"vwchar/internal/timeseries"
@@ -156,34 +155,6 @@ func (c *Collector) TargetNames() []string {
 	out := make([]string, len(c.targets))
 	for i, t := range c.targets {
 		out[i] = t.Name
-	}
-	return out
-}
-
-// GroupCounts tallies catalog metrics per sar group, sorted by group
-// name — used by Table 1 and the catalog tests.
-func GroupCounts() []struct {
-	Group string
-	Count int
-} {
-	counts := make(map[string]int)
-	for _, m := range Catalog() {
-		counts[m.Group]++
-	}
-	groups := make([]string, 0, len(counts))
-	for g := range counts {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	out := make([]struct {
-		Group string
-		Count int
-	}, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, struct {
-			Group string
-			Count int
-		}{g, counts[g]})
 	}
 	return out
 }

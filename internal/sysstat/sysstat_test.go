@@ -265,16 +265,6 @@ func TestTable1(t *testing.T) {
 	}
 }
 
-func TestGroupCountsSumToCatalog(t *testing.T) {
-	total := 0
-	for _, g := range GroupCounts() {
-		total += g.Count
-	}
-	if total != CatalogSize {
-		t.Fatalf("group counts sum to %d", total)
-	}
-}
-
 func TestPerfCatalogAccessibleForTable1(t *testing.T) {
 	if len(perfCounterCatalog()) != xen.PerfCounterCount {
 		t.Fatal("perf catalog size mismatch")

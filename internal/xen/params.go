@@ -11,7 +11,12 @@
 // non-virtualized-vs-virtualized claims reconcile.
 package xen
 
-import "vwchar/internal/sim"
+import (
+	"fmt"
+	"reflect"
+
+	"vwchar/internal/sim"
+)
 
 // Params holds the hypervisor cost model. Defaults are calibrated so the
 // simulated counters land on the paper's figure axes.
@@ -112,4 +117,23 @@ func DefaultParams() Params {
 		Dom0OwnDiskBytesPerSecond: 100e3,
 		Dom0OwnNetBytesPerSecond:  9e3,
 	}
+}
+
+// Validate rejects a cost model the simulation cannot run: a
+// non-positive scheduler quantum or guest VCPU rate, or a negative (or
+// NaN) cost, amplification, inflation or rate in any other field.
+func (p Params) Validate() error {
+	if p.Quantum <= 0 {
+		return fmt.Errorf("xen: Quantum %d must be positive", p.Quantum)
+	}
+	if !(p.GuestVCPURate > 0) {
+		return fmt.Errorf("xen: GuestVCPURate %v must be positive", p.GuestVCPURate)
+	}
+	v := reflect.ValueOf(p)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && !(f.Float() >= 0) {
+			return fmt.Errorf("xen: %s %v must be non-negative", v.Type().Field(i).Name, f.Float())
+		}
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package xen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"vwchar/internal/hw"
@@ -283,5 +284,36 @@ func TestDom0OwnActivityAccumulates(t *testing.T) {
 	// dom0 memory includes base plus warming page cache.
 	if hv.Dom0().Mem.Used() < DefaultParams().Dom0BaseMemBytes {
 		t.Fatal("dom0 memory below base")
+	}
+}
+
+// TestParamsValidate: the calibrated defaults validate, and a negative
+// value in any float field, or a non-positive quantum or VCPU rate, is
+// rejected.
+func TestParamsValidate(t *testing.T) {
+	if err := DefaultParams().Validate(); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+	for _, bad := range []func(*Params){
+		func(p *Params) { p.Quantum = 0 },
+		func(p *Params) { p.Quantum = -sim.Millisecond },
+		func(p *Params) { p.GuestVCPURate = 0 },
+	} {
+		p := DefaultParams()
+		bad(&p)
+		if p.Validate() == nil {
+			t.Fatalf("accepted %+v", p)
+		}
+	}
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		p := DefaultParams()
+		reflect.ValueOf(&p).Elem().Field(i).SetFloat(-1)
+		if p.Validate() == nil {
+			t.Errorf("accepted negative %s", typ.Field(i).Name)
+		}
 	}
 }

@@ -18,7 +18,10 @@ cd "$(dirname "$0")/.."
 #    the crash hazard and brownout controller armed, and a warm cache
 #    hit.
 #  - rubis: the read interactions through ExecuteInto on an attached
-#    view, reading rows through the row cursor.
+#    view, reading rows through the row cursor, and the write
+#    interactions, building rows in each table's tuple buffer (the
+#    pages and index nodes the growing tables take amortize below one
+#    allocation per op).
 #  - root: attaching a recycled snapshot view, once per replication.
 gates='
 ./internal/sim/       BenchmarkKernelTickerHeavy     200000x 1
@@ -30,6 +33,7 @@ gates='
 ./internal/tiers/     BenchmarkDispatchWithCascade$  200000x 1
 ./internal/tiers/     BenchmarkCacheHitDispatch$     200000x 1
 ./internal/rubis/     BenchmarkExecuteReads$         200000x 1
+./internal/rubis/     BenchmarkExecuteWrites$        200000x 1
 .                     BenchmarkSnapshotAttach$       200x    1
 '
 

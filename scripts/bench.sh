@@ -25,8 +25,10 @@ go test -run xxx -bench 'BenchmarkSnapshotAttach$' \
 go test -run xxx \
 	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet|BenchmarkBulkLoad|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
-go test -run xxx -bench 'BenchmarkExecuteReads$' \
+go test -run xxx -bench 'BenchmarkExecuteReads$|BenchmarkExecuteWrites$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
+go test -run xxx -bench 'BenchmarkPopulate$' \
+	-benchtime "$sim_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkStreamSeed$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rng/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
