@@ -57,34 +57,60 @@ type Metric struct {
 	// Description explains the metric (Table 1 column).
 	Description string
 	// Eval computes the sample from (prev, cur) over dt seconds.
-	Eval func(prev, cur *Snapshot, dt float64) float64
+	Eval evalFunc
+}
+
+// evalFunc computes one sample from two consecutive snapshots dt
+// seconds apart.
+type evalFunc = func(prev, cur *Snapshot, dt float64) float64
+
+// windowed guards f, which divides by the window, to read zero over an
+// empty window.
+func windowed(f evalFunc) evalFunc {
+	return func(prev, cur *Snapshot, dt float64) float64 {
+		if dt <= 0 {
+			return 0
+		}
+		return f(prev, cur, dt)
+	}
 }
 
 // rate differences a cumulative float64 field per second.
-func rate(f func(*Snapshot) float64) func(*Snapshot, *Snapshot, float64) float64 {
-	return func(prev, cur *Snapshot, dt float64) float64 {
-		if dt <= 0 {
-			return 0
-		}
-		return (f(cur) - f(prev)) / dt
-	}
+func rate(f func(*Snapshot) float64) evalFunc {
+	return windowed(func(prev, cur *Snapshot, dt float64) float64 { return (f(cur) - f(prev)) / dt })
 }
 
-func urate(f func(*Snapshot) uint64) func(*Snapshot, *Snapshot, float64) float64 {
-	return func(prev, cur *Snapshot, dt float64) float64 {
-		if dt <= 0 {
-			return 0
-		}
-		return float64(f(cur)-f(prev)) / dt
-	}
+func urate(f func(*Snapshot) uint64) evalFunc {
+	return windowed(func(prev, cur *Snapshot, dt float64) float64 { return float64(f(cur)-f(prev)) / dt })
 }
 
-func gauge(f func(*Snapshot) float64) func(*Snapshot, *Snapshot, float64) float64 {
+func gauge(f func(*Snapshot) float64) evalFunc {
 	return func(_, cur *Snapshot, _ float64) float64 { return f(cur) }
 }
 
-func constant(v float64) func(*Snapshot, *Snapshot, float64) float64 {
+func constant(v float64) evalFunc {
 	return func(*Snapshot, *Snapshot, float64) float64 { return v }
+}
+
+// activeOr returns f for an active device and a zero evaluator for an
+// idle one.
+func activeOr(active bool, f evalFunc) evalFunc {
+	if active {
+		return f
+	}
+	return constant(0)
+}
+
+// perDiskOp divides f's window total by the window's disk operations,
+// reading zero when none completed.
+func perDiskOp(f func(p, c *Snapshot, ops float64) float64) evalFunc {
+	return func(p, c *Snapshot, _ float64) float64 {
+		ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
+		if ops == 0 {
+			return 0
+		}
+		return f(p, c, ops)
+	}
 }
 
 // cpuBusyFraction is the busy share of one sampling window.
@@ -131,18 +157,32 @@ const (
 	sysShare  = 0.22
 )
 
-// Catalog builds the 182-metric sysstat catalog. The count is pinned by
-// a test; extending the catalog means consciously deciding the paper
-// comparison no longer holds.
-func Catalog() []Metric {
-	var ms []Metric
-	add := func(group, name, unit, desc string, eval func(*Snapshot, *Snapshot, float64) float64) {
+// catalog is the 182-metric sysstat catalog, built once per process,
+// and catalogIndex maps each metric's name to its position in it.
+var catalog, catalogIndex = buildCatalog()
+
+// Catalog returns the 182-metric sysstat catalog. The table is shared
+// and read-only. The count is pinned by a test; extending the catalog
+// means consciously deciding the paper comparison no longer holds.
+func Catalog() []Metric { return catalog[:len(catalog):len(catalog)] }
+
+func buildCatalog() ([]Metric, map[string]int) {
+	ms := make([]Metric, 0, CatalogSize)
+	idx := make(map[string]int, CatalogSize)
+	add := func(group, name, unit, desc string, eval evalFunc) {
+		idx[name] = len(ms)
 		ms = append(ms, Metric{Name: name, Group: group, Unit: unit, Description: desc, Eval: eval})
+	}
+	// zeros adds per-second metrics that always read zero on the
+	// testbed, from {name, description} pairs.
+	zeros := func(group, nameSuffix, descSuffix string, metrics [][2]string) {
+		for _, m := range metrics {
+			add(group, m[0]+nameSuffix, "1/s", m[1]+descSuffix, constant(0))
+		}
 	}
 
 	// --- CPU utilization: "all" plus two logical CPUs, 6 columns each (18).
 	for _, cpu := range []string{"all", "0", "1"} {
-		cpu := cpu
 		add("cpu", "%user ["+cpu+"]", "%", "time in user mode on cpu "+cpu,
 			func(p, c *Snapshot, dt float64) float64 { return cpuBusyFraction(p, c, dt) * userShare * 100 })
 		add("cpu", "%nice ["+cpu+"]", "%", "time in niced user mode on cpu "+cpu, constant(0))
@@ -168,17 +208,11 @@ func Catalog() []Metric {
 
 	// --- Interrupts: total plus 16 IRQ lines (17).
 	add("intr", "intr/s [sum]", "1/s", "total interrupts per second", urate(func(s *Snapshot) uint64 { return s.Interrupts }))
-	irqShare := []float64{0.52, 0.01, 0, 0.002, 0.001, 0, 0, 0.001, 0, 0.002, 0.003, 0.001, 0.18, 0.002, 0.15, 0.12}
-	for i := 0; i < 16; i++ {
-		share := irqShare[i]
+	irqShare := [16]float64{0.52, 0.01, 0, 0.002, 0.001, 0, 0, 0.001, 0, 0.002, 0.003, 0.001, 0.18, 0.002, 0.15, 0.12}
+	for i, share := range irqShare {
 		add("intr", fmt.Sprintf("intr/s [i%03d]", i), "1/s",
 			fmt.Sprintf("interrupts per second on IRQ line %d", i),
-			func(p, c *Snapshot, dt float64) float64 {
-				if dt <= 0 {
-					return 0
-				}
-				return float64(c.Interrupts-p.Interrupts) / dt * share
-			})
+			windowed(func(p, c *Snapshot, dt float64) float64 { return float64(c.Interrupts-p.Interrupts) / dt * share }))
 	}
 
 	// --- Swapping (2): the testbed never swapped; pinned at zero.
@@ -191,12 +225,7 @@ func Catalog() []Metric {
 	add("paging", "fault/s", "1/s", "page faults per second", urate(func(s *Snapshot) uint64 { return s.Faults }))
 	add("paging", "majflt/s", "1/s", "major faults per second", urate(func(s *Snapshot) uint64 { return s.MajFaults }))
 	add("paging", "pgfree/s", "pages/s", "pages freed per second",
-		func(p, c *Snapshot, dt float64) float64 {
-			if dt <= 0 {
-				return 0
-			}
-			return float64(c.Faults-p.Faults) / dt * 1.1
-		})
+		windowed(func(p, c *Snapshot, dt float64) float64 { return float64(c.Faults-p.Faults) / dt * 1.1 }))
 	add("paging", "pgscank/s", "pages/s", "pages scanned by kswapd per second", constant(0))
 	add("paging", "pgscand/s", "pages/s", "pages scanned directly per second", constant(0))
 	add("paging", "pgsteal/s", "pages/s", "pages reclaimed per second", constant(0))
@@ -239,12 +268,7 @@ func Catalog() []Metric {
 	add("memory", "kbactive", "KB", "active memory", gauge(func(s *Snapshot) float64 { return s.MemUsed * 0.7 / 1024 }))
 	add("memory", "kbinact", "KB", "inactive memory", gauge(func(s *Snapshot) float64 { return s.MemUsed * 0.3 / 1024 }))
 	add("memory", "kbdirty", "KB", "dirty pages awaiting writeback",
-		func(p, c *Snapshot, dt float64) float64 {
-			if dt <= 0 {
-				return 0
-			}
-			return (c.DiskWriteBytes - p.DiskWriteBytes) / 1024 * 0.4
-		})
+		windowed(func(p, c *Snapshot, dt float64) float64 { return (c.DiskWriteBytes - p.DiskWriteBytes) / 1024 * 0.4 }))
 
 	// --- Swap utilization (5): 2 GB swap, unused.
 	const swapKB = 2 << 20
@@ -275,25 +299,18 @@ func Catalog() []Metric {
 	add("load", "blocked", "tasks", "tasks blocked on I/O", gauge(func(s *Snapshot) float64 { return float64(s.Blocked) }))
 
 	// --- TTY (6): headless servers.
-	for _, m := range []struct{ n, d string }{
+	zeros("tty", "", "", [][2]string{
 		{"rcvin/s", "serial receive interrupts per second"},
 		{"xmtin/s", "serial transmit interrupts per second"},
 		{"framerr/s", "serial frame errors per second"},
 		{"prtyerr/s", "serial parity errors per second"},
 		{"brk/s", "serial breaks per second"},
 		{"ovrun/s", "serial overruns per second"},
-	} {
-		add("tty", m.n, "1/s", m.d, constant(0))
-	}
+	})
 
 	// --- Per-device disk stats: sda (data) and sdb (idle) x 8 (16).
 	diskDev := func(dev string, active bool) {
-		act := func(f func(*Snapshot, *Snapshot, float64) float64) func(*Snapshot, *Snapshot, float64) float64 {
-			if active {
-				return f
-			}
-			return constant(0)
-		}
+		act := func(f evalFunc) evalFunc { return activeOr(active, f) }
 		add("disk", "tps ["+dev+"]", "1/s", "transfers per second on "+dev,
 			act(urate(func(s *Snapshot) uint64 { return s.DiskReadOps + s.DiskWriteOps })))
 		add("disk", "rd_sec/s ["+dev+"]", "sectors/s", "sectors read per second on "+dev,
@@ -301,55 +318,24 @@ func Catalog() []Metric {
 		add("disk", "wr_sec/s ["+dev+"]", "sectors/s", "sectors written per second on "+dev,
 			act(rate(func(s *Snapshot) float64 { return s.DiskWriteBytes / 512 })))
 		add("disk", "avgrq-sz ["+dev+"]", "sectors", "average request size on "+dev,
-			act(func(p, c *Snapshot, dt float64) float64 {
-				ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
-				if ops == 0 {
-					return 0
-				}
+			act(perDiskOp(func(p, c *Snapshot, ops float64) float64 {
 				return ((c.DiskReadBytes + c.DiskWriteBytes) - (p.DiskReadBytes + p.DiskWriteBytes)) / 512 / ops
-			}))
+			})))
 		add("disk", "avgqu-sz ["+dev+"]", "requests", "average queue length on "+dev,
-			act(func(p, c *Snapshot, dt float64) float64 {
-				if dt <= 0 {
-					return 0
-				}
-				return (c.DiskBusy - p.DiskBusy).Sec() / dt * 1.3
-			}))
+			act(windowed(func(p, c *Snapshot, dt float64) float64 { return (c.DiskBusy - p.DiskBusy).Sec() / dt * 1.3 })))
 		add("disk", "await ["+dev+"]", "ms", "average request latency on "+dev,
-			act(func(p, c *Snapshot, dt float64) float64 {
-				ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
-				if ops == 0 {
-					return 0
-				}
-				return (c.DiskBusy - p.DiskBusy).Sec() * 1000 / ops * 1.4
-			}))
+			act(perDiskOp(func(p, c *Snapshot, ops float64) float64 { return (c.DiskBusy - p.DiskBusy).Sec() * 1000 / ops * 1.4 })))
 		add("disk", "svctm ["+dev+"]", "ms", "average service time on "+dev,
-			act(func(p, c *Snapshot, dt float64) float64 {
-				ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
-				if ops == 0 {
-					return 0
-				}
-				return (c.DiskBusy - p.DiskBusy).Sec() * 1000 / ops
-			}))
+			act(perDiskOp(func(p, c *Snapshot, ops float64) float64 { return (c.DiskBusy - p.DiskBusy).Sec() * 1000 / ops })))
 		add("disk", "%util ["+dev+"]", "%", "device utilization of "+dev,
-			act(func(p, c *Snapshot, dt float64) float64 {
-				if dt <= 0 {
-					return 0
-				}
-				return (c.DiskBusy - p.DiskBusy).Sec() / dt * 100
-			}))
+			act(windowed(func(p, c *Snapshot, dt float64) float64 { return (c.DiskBusy - p.DiskBusy).Sec() / dt * 100 })))
 	}
 	diskDev("sda", true)
 	diskDev("sdb", false)
 
 	// --- Per-interface network stats: eth0 (all traffic) and lo x 7 (14).
 	netDev := func(dev string, active bool) {
-		act := func(f func(*Snapshot, *Snapshot, float64) float64) func(*Snapshot, *Snapshot, float64) float64 {
-			if active {
-				return f
-			}
-			return constant(0)
-		}
+		act := func(f evalFunc) evalFunc { return activeOr(active, f) }
 		add("net", "rxpck/s ["+dev+"]", "1/s", "packets received per second on "+dev,
 			act(urate(func(s *Snapshot) uint64 { return s.NetRxPkts })))
 		add("net", "txpck/s ["+dev+"]", "1/s", "packets transmitted per second on "+dev,
@@ -368,7 +354,7 @@ func Catalog() []Metric {
 
 	// --- Per-interface error stats x 9 (18): a healthy gigabit LAN.
 	for _, dev := range []string{"eth0", "lo"} {
-		for _, m := range []struct{ n, d string }{
+		zeros("neterr", " ["+dev+"]", " on "+dev, [][2]string{
 			{"rxerr/s", "receive errors per second"},
 			{"txerr/s", "transmit errors per second"},
 			{"coll/s", "collisions per second"},
@@ -378,23 +364,19 @@ func Catalog() []Metric {
 			{"txfifo/s", "transmit FIFO overruns per second"},
 			{"rxfifo/s", "receive FIFO overruns per second"},
 			{"rxfram/s", "frame alignment errors per second"},
-		} {
-			add("neterr", m.n+" ["+dev+"]", "1/s", m.d+" on "+dev, constant(0))
-		}
+		})
 	}
 
 	// --- NFS client (6) and server (11): no NFS on the testbed.
-	for _, m := range []struct{ n, d string }{
+	zeros("nfs", "", "", [][2]string{
 		{"call/s", "NFS client RPC calls per second"},
 		{"retrans/s", "NFS client retransmissions per second"},
 		{"read/s", "NFS client reads per second"},
 		{"write/s", "NFS client writes per second"},
 		{"access/s", "NFS client access calls per second"},
 		{"getatt/s", "NFS client getattr calls per second"},
-	} {
-		add("nfs", m.n, "1/s", m.d, constant(0))
-	}
-	for _, m := range []struct{ n, d string }{
+	})
+	zeros("nfsd", "", "", [][2]string{
 		{"scall/s", "NFS server RPC calls per second"},
 		{"badcall/s", "NFS server bad calls per second"},
 		{"packet/s", "NFS server packets per second"},
@@ -406,9 +388,7 @@ func Catalog() []Metric {
 		{"swrite/s", "NFS server writes per second"},
 		{"saccess/s", "NFS server access calls per second"},
 		{"sgetatt/s", "NFS server getattr calls per second"},
-	} {
-		add("nfsd", m.n, "1/s", m.d, constant(0))
-	}
+	})
 
 	// --- Sockets (6).
 	add("sock", "totsck", "count", "sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.TCPSocks + s.UDPSocks + 12) }))
@@ -417,21 +397,13 @@ func Catalog() []Metric {
 	add("sock", "rawsck", "count", "raw sockets in use", constant(0))
 	add("sock", "ip-frag", "count", "IP fragments queued", constant(0))
 	add("sock", "tcp-tw", "count", "TCP sockets in TIME_WAIT",
-		func(p, c *Snapshot, dt float64) float64 {
-			if dt <= 0 {
-				return 0
-			}
-			return float64(c.NetRxPkts-p.NetRxPkts) / dt * 0.05
-		})
+		windowed(func(p, c *Snapshot, dt float64) float64 { return float64(c.NetRxPkts-p.NetRxPkts) / dt * 0.05 }))
 
 	// --- IP (8).
-	pktRate := func(scale float64) func(*Snapshot, *Snapshot, float64) float64 {
-		return func(p, c *Snapshot, dt float64) float64 {
-			if dt <= 0 {
-				return 0
-			}
+	pktRate := func(scale float64) evalFunc {
+		return windowed(func(p, c *Snapshot, dt float64) float64 {
 			return float64((c.NetRxPkts+c.NetTxPkts)-(p.NetRxPkts+p.NetTxPkts)) / dt * scale
-		}
+		})
 	}
 	add("ip", "irec/s", "1/s", "IP datagrams received per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
 	add("ip", "fwddgm/s", "1/s", "IP datagrams forwarded per second", constant(0))
@@ -463,7 +435,7 @@ func Catalog() []Metric {
 	// --- Power (1).
 	add("power", "MHz", "MHz", "current processor clock", gauge(func(s *Snapshot) float64 { return s.FreqHz / 1e6 }))
 
-	return ms
+	return ms, idx
 }
 
 // CatalogSize is the pinned sysstat metric count per monitored instance,

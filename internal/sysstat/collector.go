@@ -18,19 +18,42 @@ type Target struct {
 	Snap func() Snapshot
 }
 
-// Collector samples all targets every 2 seconds, producing both the
-// headline per-2s demand series used by the paper's figures and the full
-// 182-metric catalog per target.
-type Collector struct {
-	k       *sim.Kernel
-	targets []Target
-	catalog []Metric
+// The headline series every target records, indexing targetState.head.
+const (
+	headCPU = iota
+	headMem
+	headDisk
+	headNet
+	numHeadlines
+)
 
-	prev map[string]Snapshot
-	// headline series per target
-	cpu, mem, disk, net map[string]*timeseries.Series
-	// full catalog series per target, keyed "target/metric"
-	full map[string]*timeseries.Series
+// headlines names each headline series (after the target's name) and
+// gives its unit.
+var headlines = [numHeadlines]struct{ suffix, unit string }{
+	headCPU:  {".cpu.cycles", "cycles/2s"},
+	headMem:  {".mem.used", "MB"},
+	headDisk: {".disk.rw", "KB/2s"},
+	headNet:  {".net.rxtx", "KB/2s"},
+}
+
+// targetState is one target's sampling state: the last two snapshots
+// and every series recorded for it.
+type targetState struct {
+	Target
+	prev, cur Snapshot
+	head      [numHeadlines]timeseries.Series
+	// full holds one series per catalog metric, indexed like the
+	// catalog; it is nil unless the collector records the full catalog.
+	full []timeseries.Series
+}
+
+// Collector samples all targets every 2 seconds, producing both the
+// headline per-2s demand series used by the paper's figures and, when
+// built to, the full 182-metric catalog per target.
+type Collector struct {
+	k        *sim.Kernel
+	targets  []targetState
+	keepFull bool
 
 	ticker *sim.Ticker
 	// onSample hooks fire after each collection round, in registration
@@ -39,37 +62,26 @@ type Collector struct {
 	onSample []func(now sim.Time)
 	// Samples counts collection rounds.
 	Samples int
-	// KeepFullCatalog toggles recording all 182 metrics per target
-	// (headline series are always kept).
-	KeepFullCatalog bool
 }
 
-// NewCollector builds a collector over the given targets.
+// NewCollector builds a collector over the given targets, taking each
+// target's first snapshot in order. keepFull records all 182 metrics per
+// target; the headline series are always kept.
 func NewCollector(k *sim.Kernel, keepFull bool, targets ...Target) *Collector {
-	c := &Collector{
-		k:               k,
-		targets:         targets,
-		catalog:         Catalog(),
-		prev:            make(map[string]Snapshot),
-		cpu:             make(map[string]*timeseries.Series),
-		mem:             make(map[string]*timeseries.Series),
-		disk:            make(map[string]*timeseries.Series),
-		net:             make(map[string]*timeseries.Series),
-		full:            make(map[string]*timeseries.Series),
-		KeepFullCatalog: keepFull,
-	}
-	for _, t := range targets {
-		c.cpu[t.Name] = timeseries.New(t.Name+".cpu.cycles", "cycles/2s")
-		c.mem[t.Name] = timeseries.New(t.Name+".mem.used", "MB")
-		c.disk[t.Name] = timeseries.New(t.Name+".disk.rw", "KB/2s")
-		c.net[t.Name] = timeseries.New(t.Name+".net.rxtx", "KB/2s")
+	c := &Collector{k: k, targets: make([]targetState, len(targets)), keepFull: keepFull}
+	for i, t := range targets {
+		ts := &c.targets[i]
+		ts.Target = t
+		for h, hl := range headlines {
+			ts.head[h] = *timeseries.New(t.Name+hl.suffix, hl.unit)
+		}
 		if keepFull {
-			for _, m := range c.catalog {
-				key := t.Name + "/" + m.Name
-				c.full[key] = timeseries.New(key, m.Unit)
+			ts.full = make([]timeseries.Series, len(catalog))
+			for j, m := range catalog {
+				ts.full[j] = *timeseries.New(t.Name+"/"+m.Name, m.Unit)
 			}
 		}
-		c.prev[t.Name] = t.Snap()
+		ts.prev = t.Snap()
 	}
 	return c
 }
@@ -96,19 +108,18 @@ func (c *Collector) Stop() {
 
 func (c *Collector) sample(now sim.Time) {
 	dt := SampleInterval.Sec()
-	for _, t := range c.targets {
-		cur := t.Snap()
-		prev := c.prev[t.Name]
-		c.cpu[t.Name].Append(cur.CPUCycles - prev.CPUCycles)
-		c.mem[t.Name].Append(cur.MemUsed / 1e6)
-		c.disk[t.Name].Append(((cur.DiskReadBytes + cur.DiskWriteBytes) - (prev.DiskReadBytes + prev.DiskWriteBytes)) / 1024)
-		c.net[t.Name].Append(((cur.NetRxBytes + cur.NetTxBytes) - (prev.NetRxBytes + prev.NetTxBytes)) / 1024)
-		if c.KeepFullCatalog {
-			for _, m := range c.catalog {
-				c.full[t.Name+"/"+m.Name].Append(m.Eval(&prev, &cur, dt))
-			}
+	for i := range c.targets {
+		ts := &c.targets[i]
+		ts.cur = ts.Snap()
+		prev, cur := &ts.prev, &ts.cur
+		ts.head[headCPU].Append(cur.CPUCycles - prev.CPUCycles)
+		ts.head[headMem].Append(cur.MemUsed / 1e6)
+		ts.head[headDisk].Append(((cur.DiskReadBytes + cur.DiskWriteBytes) - (prev.DiskReadBytes + prev.DiskWriteBytes)) / 1024)
+		ts.head[headNet].Append(((cur.NetRxBytes + cur.NetTxBytes) - (prev.NetRxBytes + prev.NetTxBytes)) / 1024)
+		for j := range ts.full {
+			ts.full[j].Append(catalog[j].Eval(prev, cur, dt))
 		}
-		c.prev[t.Name] = cur
+		ts.prev = ts.cur
 	}
 	c.Samples++
 	for _, fn := range c.onSample {
@@ -116,35 +127,55 @@ func (c *Collector) sample(now sim.Time) {
 	}
 }
 
+// target returns the state of the target called name, or nil.
+func (c *Collector) target(name string) *targetState {
+	for i := range c.targets {
+		if c.targets[i].Name == name {
+			return &c.targets[i]
+		}
+	}
+	return nil
+}
+
+// headline returns headline series h of target name, or nil for an
+// unknown target.
+func (c *Collector) headline(name string, h int) *timeseries.Series {
+	if ts := c.target(name); ts != nil {
+		return &ts.head[h]
+	}
+	return nil
+}
+
 // CPU returns the per-2s CPU cycle demand series for target name.
-func (c *Collector) CPU(name string) *timeseries.Series { return c.cpu[name] }
+func (c *Collector) CPU(name string) *timeseries.Series { return c.headline(name, headCPU) }
 
 // Mem returns the used-memory series (MB) for target name.
-func (c *Collector) Mem(name string) *timeseries.Series { return c.mem[name] }
+func (c *Collector) Mem(name string) *timeseries.Series { return c.headline(name, headMem) }
 
 // Disk returns the per-2s disk read+write series (KB) for target name.
-func (c *Collector) Disk(name string) *timeseries.Series { return c.disk[name] }
+func (c *Collector) Disk(name string) *timeseries.Series { return c.headline(name, headDisk) }
 
 // Net returns the per-2s network rx+tx series (KB) for target name.
-func (c *Collector) Net(name string) *timeseries.Series { return c.net[name] }
+func (c *Collector) Net(name string) *timeseries.Series { return c.headline(name, headNet) }
 
 // Metric returns the full-catalog series target/metric, or an error when
 // the collector was not recording the full catalog.
 func (c *Collector) Metric(target, metric string) (*timeseries.Series, error) {
-	if !c.KeepFullCatalog {
+	if !c.keepFull {
 		return nil, fmt.Errorf("sysstat: full catalog not recorded")
 	}
-	s, ok := c.full[target+"/"+metric]
-	if !ok {
+	ts := c.target(target)
+	j, ok := catalogIndex[metric]
+	if ts == nil || !ok {
 		return nil, fmt.Errorf("sysstat: no series %q for target %q", metric, target)
 	}
-	return s, nil
+	return &ts.full[j], nil
 }
 
 // MetricNames lists the catalog metric names in catalog order.
 func (c *Collector) MetricNames() []string {
-	out := make([]string, len(c.catalog))
-	for i, m := range c.catalog {
+	out := make([]string, len(catalog))
+	for i, m := range catalog {
 		out[i] = m.Name
 	}
 	return out
@@ -153,8 +184,8 @@ func (c *Collector) MetricNames() []string {
 // TargetNames lists monitored targets in registration order.
 func (c *Collector) TargetNames() []string {
 	out := make([]string, len(c.targets))
-	for i, t := range c.targets {
-		out[i] = t.Name
+	for i := range c.targets {
+		out[i] = c.targets[i].Name
 	}
 	return out
 }

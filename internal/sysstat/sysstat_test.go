@@ -215,11 +215,97 @@ func TestCollectorFullCatalog(t *testing.T) {
 	if _, err := c.Metric("vm", "no-such-metric"); err == nil {
 		t.Fatal("unknown metric should error")
 	}
+	if _, err := c.Metric("no-such-target", "%memused"); err == nil {
+		t.Fatal("unknown target should error")
+	}
+	if c.CPU("no-such-target") != nil || c.Mem("no-such-target") != nil ||
+		c.Disk("no-such-target") != nil || c.Net("no-such-target") != nil {
+		t.Fatal("headline series of an unknown target should be nil")
+	}
 	if len(c.MetricNames()) != CatalogSize {
 		t.Fatal("MetricNames should list the whole catalog")
 	}
 	if got := c.TargetNames(); len(got) != 1 || got[0] != "vm" {
 		t.Fatalf("TargetNames = %v", got)
+	}
+}
+
+// benchTargets returns three targets whose counters advance on every
+// snapshot, so each round's catalog evaluators see a moving window.
+func benchTargets() []Target {
+	var targets []Target
+	for i, name := range []string{"web", "db", "dom0"} {
+		var s Snapshot
+		s.Cores, s.FreqHz, s.MemTotal = 2, 2.8e9, 2<<30
+		step := float64(i + 1)
+		targets = append(targets, Target{Name: name, Snap: func() Snapshot {
+			s.At += SampleInterval
+			s.CPUCycles += 1e9 * step
+			s.CPUBusy += 700 * sim.Millisecond
+			s.StealTime += 20 * sim.Millisecond
+			s.MemUsed = 400e6 * step
+			s.DiskReadBytes += 1 << 20
+			s.DiskWriteBytes += 2 << 20
+			s.DiskReadOps += 10
+			s.DiskWriteOps += 20
+			s.DiskBusy += 90 * sim.Millisecond
+			s.NetRxBytes += 3 << 20
+			s.NetTxBytes += 4 << 20
+			s.NetRxPkts += 3000
+			s.NetTxPkts += 4000
+			s.CtxSwitches += 500
+			s.Interrupts += 400
+			s.Faults += 100
+			return s
+		}})
+	}
+	return targets
+}
+
+// TestNewCollectorAllocs: building a collector reads the shared catalog
+// rather than building one, so three targets without the full catalog
+// cost a handful of allocations (the series names and the state).
+func TestNewCollectorAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	targets := benchTargets()
+	var c *Collector
+	if n := testing.AllocsPerRun(100, func() { c = NewCollector(k, false, targets...) }); n > 40 {
+		t.Fatalf("NewCollector: %v allocs over 3 targets, want at most 40", n)
+	}
+	if got := c.TargetNames(); len(got) != 3 {
+		t.Fatalf("TargetNames = %v", got)
+	}
+}
+
+// BenchmarkCollectorSample times one collection round over three
+// targets with the full catalog on: 3 x (4 headline + 182 catalog)
+// samples appended per op. Every seriesWindow rounds the series are
+// truncated in place, so memory stays bounded and each op measures the
+// round itself rather than the growth of its series.
+func BenchmarkCollectorSample(b *testing.B) {
+	const seriesWindow = 1024
+	c := NewCollector(sim.NewKernel(), true, benchTargets()...)
+	truncate := func() {
+		for i := range c.targets {
+			ts := &c.targets[i]
+			for h := range ts.head {
+				ts.head[h].Values = ts.head[h].Values[:0]
+			}
+			for j := range ts.full {
+				ts.full[j].Values = ts.full[j].Values[:0]
+			}
+		}
+	}
+	for i := 0; i < seriesWindow; i++ {
+		c.sample(sim.Time(i) * SampleInterval)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%seriesWindow == 0 {
+			truncate()
+		}
+		c.sample(sim.Time(i) * SampleInterval)
 	}
 }
 
@@ -265,8 +351,20 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestPerfCatalogAccessibleForTable1: every perf counter Table 1 shows
+// is in the hypervisor's catalog, read without a live hypervisor.
 func TestPerfCatalogAccessibleForTable1(t *testing.T) {
-	if len(perfCounterCatalog()) != xen.PerfCounterCount {
+	cat := xen.CatalogOnly()
+	if len(cat) != xen.PerfCounterCount {
 		t.Fatal("perf catalog size mismatch")
+	}
+	names := make(map[string]bool, len(cat))
+	for _, c := range cat {
+		names[c.Name] = true
+	}
+	for _, name := range table1PerfPicks {
+		if !names[name] {
+			t.Fatalf("Table 1 perf counter %q is not in the catalog", name)
+		}
 	}
 }

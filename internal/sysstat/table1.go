@@ -45,38 +45,29 @@ var table1PerfPicks = []string{
 
 // Table1 assembles the reproduced Table 1 rows.
 func Table1() []Table1Row {
-	byName := make(map[string]Metric)
-	for _, m := range Catalog() {
-		byName[m.Name] = m
-	}
 	var rows []Table1Row
 	for _, src := range []string{"sysstat (hypervisor)", "sysstat (VM)"} {
 		for _, name := range table1SysstatPicks {
-			m, ok := byName[name]
+			i, ok := catalogIndex[name]
 			if !ok {
 				panic(fmt.Sprintf("sysstat: Table 1 references unknown metric %q", name))
 			}
+			m := catalog[i]
 			rows = append(rows, Table1Row{Source: src, Name: m.Name, Unit: m.Unit, Description: m.Description})
 		}
 	}
-	perfByName := make(map[string]string)
-	for _, c := range perfCounterCatalog() {
-		perfByName[c.Name] = c.Description
+	perfDesc := make(map[string]string, xen.PerfCounterCount)
+	for _, c := range xen.CatalogOnly() {
+		perfDesc[c.Name] = c.Description
 	}
 	for _, name := range table1PerfPicks {
-		desc, ok := perfByName[name]
+		desc, ok := perfDesc[name]
 		if !ok {
 			panic(fmt.Sprintf("sysstat: Table 1 references unknown perf counter %q", name))
 		}
 		rows = append(rows, Table1Row{Source: "perf (hypervisor)", Name: name, Unit: "count", Description: desc})
 	}
 	return rows
-}
-
-// perfCounterCatalog obtains the perf counter identities from a throwaway
-// hypervisor, so Table 1 stays in sync with the real counter set.
-func perfCounterCatalog() []xen.PerfCounter {
-	return xen.CatalogOnly()
 }
 
 // TotalProfiledMetrics is the paper's metric inventory: 182 sysstat
@@ -87,23 +78,16 @@ func TotalProfiledMetrics() int {
 
 // WriteTable1 renders Table 1 as aligned text.
 func WriteTable1(w io.Writer) error {
-	rows := Table1()
-	if _, err := fmt.Fprintf(w,
+	var b strings.Builder
+	fmt.Fprintf(&b,
 		"Table 1. A sample of the %d performance metrics used to characterize workload\n"+
 			"(182 sysstat metrics in the hypervisor + 182 in VMs + 154 perf counters).\n\n",
-		TotalProfiledMetrics()); err != nil {
-		return err
+		TotalProfiledMetrics())
+	fmt.Fprintf(&b, "%-22s %-22s %-10s %s\n", "SOURCE", "METRIC", "UNIT", "DESCRIPTION")
+	fmt.Fprintln(&b, strings.Repeat("-", 100))
+	for _, r := range Table1() {
+		fmt.Fprintf(&b, "%-22s %-22s %-10s %s\n", r.Source, r.Name, r.Unit, r.Description)
 	}
-	if _, err := fmt.Fprintf(w, "%-22s %-22s %-10s %s\n", "SOURCE", "METRIC", "UNIT", "DESCRIPTION"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", 100)); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-22s %-22s %-10s %s\n", r.Source, r.Name, r.Unit, r.Description); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

@@ -148,9 +148,9 @@ type Recorder struct {
 	// every increment).
 	win, run Hist
 
-	// winClass/runClass attribute the same observations by interaction
+	// winClass attributes the window's observations by interaction
 	// class: index 0 is read-only, 1 is read-write.
-	winClass, runClass [2]Hist
+	winClass [2]Hist
 
 	// abandon is the run-level histogram of responses whose latency
 	// drove their session away (a subset of run); winAbandons counts
@@ -338,7 +338,6 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 		cls = 1
 	}
 	r.winClass[cls].recordAt(rt, i)
-	r.runClass[cls].recordAt(rt, i)
 	if kind >= 0 && kind < len(r.kind) {
 		r.kind[kind].recordAt(rt, i)
 	}
@@ -548,12 +547,4 @@ func (r *Recorder) KindHist(kind int) *Hist {
 		return nil
 	}
 	return &r.kind[kind]
-}
-
-// ClassHist exposes the run-level histogram for one interaction class.
-func (r *Recorder) ClassHist(isWrite bool) *Hist {
-	if isWrite {
-		return &r.runClass[1]
-	}
-	return &r.runClass[0]
 }

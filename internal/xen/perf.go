@@ -1,6 +1,6 @@
 package xen
 
-import "fmt"
+import "strconv"
 
 // perfState accumulates hypervisor-level scheduling activity that feeds
 // the synthesized hardware counters.
@@ -16,128 +16,20 @@ type PerfCounter struct {
 	Value       float64
 }
 
-// perfCounterNameSet builds the fixed catalog of counter identities. The
-// paper profiled 154 hardware counters with a modified perf running in
-// the Xen hypervisor; this list reproduces that width and is pinned by a
-// test, so the catalog cannot silently drift.
-func perfCounterNameSet() []struct{ name, desc string } {
-	var out []struct{ name, desc string }
-	add := func(name, desc string) {
-		out = append(out, struct{ name, desc string }{name, desc})
-	}
-	// 26 architectural events.
-	arch := [][2]string{
-		{"cycles", "unhalted core cycles (all cores)"},
-		{"instructions", "instructions retired"},
-		{"branches", "branch instructions retired"},
-		{"branch-misses", "mispredicted branches"},
-		{"bus-cycles", "bus cycles"},
-		{"stalled-cycles-frontend", "cycles with stalled instruction fetch"},
-		{"stalled-cycles-backend", "cycles with stalled execution"},
-		{"ref-cycles", "reference (unscaled) cycles"},
-		{"cache-references", "last-level cache references"},
-		{"cache-misses", "last-level cache misses"},
-		{"L1-dcache-loads", "L1 data cache loads"},
-		{"L1-dcache-load-misses", "L1 data cache load misses"},
-		{"L1-dcache-stores", "L1 data cache stores"},
-		{"L1-dcache-store-misses", "L1 data cache store misses"},
-		{"L1-icache-loads", "L1 instruction cache loads"},
-		{"L1-icache-load-misses", "L1 instruction cache load misses"},
-		{"LLC-loads", "last-level cache loads"},
-		{"LLC-load-misses", "last-level cache load misses"},
-		{"LLC-stores", "last-level cache stores"},
-		{"LLC-store-misses", "last-level cache store misses"},
-		{"dTLB-loads", "data TLB loads"},
-		{"dTLB-load-misses", "data TLB load misses"},
-		{"dTLB-stores", "data TLB stores"},
-		{"dTLB-store-misses", "data TLB store misses"},
-		{"iTLB-loads", "instruction TLB loads"},
-		{"iTLB-load-misses", "instruction TLB load misses"},
-	}
-	for _, a := range arch {
-		add(a[0], a[1])
-	}
-	// 9 software events.
-	sw := [][2]string{
-		{"context-switches", "scheduler context switches"},
-		{"cpu-migrations", "VCPU migrations between cores"},
-		{"page-faults", "total page faults"},
-		{"minor-faults", "minor page faults"},
-		{"major-faults", "major page faults"},
-		{"alignment-faults", "alignment fixups"},
-		{"emulation-faults", "emulated instructions"},
-		{"task-clock", "task clock (ms)"},
-		{"cpu-clock", "cpu clock (ms)"},
-	}
-	for _, s := range sw {
-		add(s[0], s[1])
-	}
-	// 6 Xen-specific events.
-	xenEv := [][2]string{
-		{"xen-hypercalls", "hypercalls serviced"},
-		{"xen-grant-table-ops", "grant table map/unmap operations"},
-		{"xen-event-channel-notifications", "event channel notifications"},
-		{"xen-sched-runs", "credit scheduler invocations"},
-		{"xen-steal-time-ms", "cumulative steal time across domains (ms)"},
-		{"xen-domain-switches", "domain context switches"},
-	}
-	for _, x := range xenEv {
-		add(x[0], x[1])
-	}
-	// 8 L2/node events.
-	l2 := [][2]string{
-		{"L2-loads", "L2 cache loads"},
-		{"L2-load-misses", "L2 cache load misses"},
-		{"L2-stores", "L2 cache stores"},
-		{"L2-store-misses", "L2 cache store misses"},
-		{"node-loads", "local memory node loads"},
-		{"node-load-misses", "remote memory node loads"},
-		{"node-stores", "local memory node stores"},
-		{"node-store-misses", "remote memory node stores"},
-	}
-	for _, e := range l2 {
-		add(e[0], e[1])
-	}
-	// 3 energy meters.
-	add("power-pkg-joules", "package energy meter")
-	add("power-cores-joules", "core energy meter")
-	add("power-dram-joules", "DRAM energy meter")
-	// Per-core counters: 8 cores x (cycles, instructions, cache-misses,
-	// branch-misses, aperf, mperf, irqs, softirqs) = 64.
-	for core := 0; core < 8; core++ {
-		add(fmt.Sprintf("cpu%d-cycles", core), fmt.Sprintf("core %d unhalted cycles", core))
-		add(fmt.Sprintf("cpu%d-instructions", core), fmt.Sprintf("core %d instructions retired", core))
-		add(fmt.Sprintf("cpu%d-cache-misses", core), fmt.Sprintf("core %d LLC misses", core))
-		add(fmt.Sprintf("cpu%d-branch-misses", core), fmt.Sprintf("core %d branch misses", core))
-		add(fmt.Sprintf("cpu%d-aperf", core), fmt.Sprintf("core %d actual performance clock", core))
-		add(fmt.Sprintf("cpu%d-mperf", core), fmt.Sprintf("core %d maximum performance clock", core))
-		add(fmt.Sprintf("cpu%d-irqs", core), fmt.Sprintf("core %d hardware interrupts", core))
-		add(fmt.Sprintf("cpu%d-softirqs", core), fmt.Sprintf("core %d soft interrupts", core))
-		add(fmt.Sprintf("cpu%d-llc-references", core), fmt.Sprintf("core %d LLC references", core))
-	}
-	// Per-VM-slot runstate counters: 10 slots x 3 = 30 (the testbed
-	// hosts up to ten VMs per server; empty slots read zero).
-	for slot := 1; slot <= 10; slot++ {
-		add(fmt.Sprintf("dom%d-runstate-running-ms", slot), fmt.Sprintf("VM slot %d time running (ms)", slot))
-		add(fmt.Sprintf("dom%d-runstate-runnable-ms", slot), fmt.Sprintf("VM slot %d time runnable/stolen (ms)", slot))
-		add(fmt.Sprintf("dom%d-runstate-blocked-ms", slot), fmt.Sprintf("VM slot %d time blocked (ms)", slot))
-	}
-	return out
+// perfInputs is what one harvest of the counters reads: host-wide totals
+// summed once over all domains, plus the hypervisor for the counters
+// that read a clock, dom0's interrupts or one guest's runstate.
+type perfInputs struct {
+	hv                                    *Hypervisor
+	totalPhys, instr, hypercalls, stealMs float64
+	faults, majFaults, ios                uint64
 }
 
-// PerfCounterCount is the number of hypervisor hardware counters, equal
-// to the paper's 154.
-const PerfCounterCount = 154
-
-// CatalogOnly returns the counter identities with zero values, for code
-// that needs the catalog without a live hypervisor (e.g. Table 1).
-func CatalogOnly() []PerfCounter {
-	names := perfCounterNameSet()
-	out := make([]PerfCounter, 0, len(names))
-	for _, n := range names {
-		out = append(out, PerfCounter{Name: n.name, Description: n.desc})
-	}
-	return out
+// perfCounterDef declares one counter: its identity and how its value
+// derives from a harvest's inputs.
+type perfCounterDef struct {
+	name, desc string
+	value      func(in perfInputs) float64
 }
 
 // micro-architectural derivation ratios for the Xeon-class testbed CPU.
@@ -153,193 +45,205 @@ const (
 	tlbMissRate     = 0.0042
 )
 
-// PerfCounters synthesizes the 154 hypervisor counters from cumulative
-// simulation state. Counters are cumulative; the collector differences
-// consecutive samples.
-func (hv *Hypervisor) PerfCounters() []PerfCounter {
-	names := perfCounterNameSet()
-	totalPhys := hv.dom0.PhysCycles()
-	guestPhys := 0.0
-	hypercalls := 0.0
-	stealMs := 0.0
-	for _, g := range hv.guests {
-		guestPhys += g.PhysCycles()
-		hypercalls += g.hypercallPhys / hv.params.HypercallCycles
-		stealMs += float64(g.StealTime()) / 1e6
-	}
-	totalPhys += guestPhys
-	instr := totalPhys * ipc
-	faults := uint64(0)
-	majFaults := uint64(0)
-	ios := uint64(0)
-	for _, d := range append([]*Domain{hv.dom0}, hv.guests...) {
-		faults += d.OS.Faults
-		majFaults += d.OS.MajFaults
-		ios += d.DiskOps
-	}
+// seconds converts the host's total physical cycles to seconds.
+func (in perfInputs) seconds() float64 { return in.totalPhys / in.hv.host.Spec.FreqHz }
 
-	value := func(name string) float64 {
-		switch name {
-		case "cycles":
-			return totalPhys
-		case "instructions":
-			return instr
-		case "branches":
-			return instr * branchFraction
-		case "branch-misses":
-			return instr * branchFraction * branchMissRate
-		case "bus-cycles":
-			return totalPhys / 8
-		case "stalled-cycles-frontend":
-			return totalPhys * 0.12
-		case "stalled-cycles-backend":
-			return totalPhys * 0.22
-		case "ref-cycles":
-			return totalPhys
-		case "cache-references":
-			return instr * llcRefPerInstr
-		case "cache-misses":
-			return instr * llcRefPerInstr * llcMissRate
-		case "L1-dcache-loads":
-			return instr * l1LoadPerInstr
-		case "L1-dcache-load-misses":
-			return instr * l1LoadPerInstr * l1MissRate
-		case "L1-dcache-stores":
-			return instr * l1LoadPerInstr * 0.55
-		case "L1-dcache-store-misses":
-			return instr * l1LoadPerInstr * 0.55 * l1MissRate
-		case "L1-icache-loads":
-			return instr * 0.25
-		case "L1-icache-load-misses":
-			return instr * 0.25 * 0.011
-		case "LLC-loads":
-			return instr * llcRefPerInstr * 0.7
-		case "LLC-load-misses":
-			return instr * llcRefPerInstr * 0.7 * llcMissRate
-		case "LLC-stores":
-			return instr * llcRefPerInstr * 0.3
-		case "LLC-store-misses":
-			return instr * llcRefPerInstr * 0.3 * llcMissRate
-		case "dTLB-loads":
-			return instr * tlbLoadFraction
-		case "dTLB-load-misses":
-			return instr * tlbLoadFraction * tlbMissRate
-		case "dTLB-stores":
-			return instr * tlbLoadFraction * 0.5
-		case "dTLB-store-misses":
-			return instr * tlbLoadFraction * 0.5 * tlbMissRate
-		case "iTLB-loads":
-			return instr * 0.2
-		case "iTLB-load-misses":
-			return instr * 0.2 * 0.0011
-		case "context-switches":
-			return float64(hv.perf.ContextSwitches)
-		case "cpu-migrations":
-			return float64(hv.perf.SchedRuns) * 0.02
-		case "page-faults":
-			return float64(faults)
-		case "minor-faults":
-			return float64(faults - majFaults)
-		case "major-faults":
-			return float64(majFaults)
-		case "alignment-faults", "emulation-faults":
+// never is the value of an event that does not occur on the modeled
+// testbed.
+func never(perfInputs) float64 { return 0 }
+
+// hostCounters are the 52 host-wide counters, in catalog order.
+var hostCounters = [52]perfCounterDef{
+	// 26 architectural events.
+	{"cycles", "unhalted core cycles (all cores)", func(in perfInputs) float64 { return in.totalPhys }},
+	{"instructions", "instructions retired", func(in perfInputs) float64 { return in.instr }},
+	{"branches", "branch instructions retired", func(in perfInputs) float64 { return in.instr * branchFraction }},
+	{"branch-misses", "mispredicted branches", func(in perfInputs) float64 { return in.instr * branchFraction * branchMissRate }},
+	{"bus-cycles", "bus cycles", func(in perfInputs) float64 { return in.totalPhys / 8 }},
+	{"stalled-cycles-frontend", "cycles with stalled instruction fetch", func(in perfInputs) float64 { return in.totalPhys * 0.12 }},
+	{"stalled-cycles-backend", "cycles with stalled execution", func(in perfInputs) float64 { return in.totalPhys * 0.22 }},
+	{"ref-cycles", "reference (unscaled) cycles", func(in perfInputs) float64 { return in.totalPhys }},
+	{"cache-references", "last-level cache references", func(in perfInputs) float64 { return in.instr * llcRefPerInstr }},
+	{"cache-misses", "last-level cache misses", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate }},
+	{"L1-dcache-loads", "L1 data cache loads", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr }},
+	{"L1-dcache-load-misses", "L1 data cache load misses", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * l1MissRate }},
+	{"L1-dcache-stores", "L1 data cache stores", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 }},
+	{"L1-dcache-store-misses", "L1 data cache store misses", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 * l1MissRate }},
+	{"L1-icache-loads", "L1 instruction cache loads", func(in perfInputs) float64 { return in.instr * 0.25 }},
+	{"L1-icache-load-misses", "L1 instruction cache load misses", func(in perfInputs) float64 { return in.instr * 0.25 * 0.011 }},
+	{"LLC-loads", "last-level cache loads", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * 0.7 }},
+	{"LLC-load-misses", "last-level cache load misses", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * 0.7 * llcMissRate }},
+	{"LLC-stores", "last-level cache stores", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * 0.3 }},
+	{"LLC-store-misses", "last-level cache store misses", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * 0.3 * llcMissRate }},
+	{"dTLB-loads", "data TLB loads", func(in perfInputs) float64 { return in.instr * tlbLoadFraction }},
+	{"dTLB-load-misses", "data TLB load misses", func(in perfInputs) float64 { return in.instr * tlbLoadFraction * tlbMissRate }},
+	{"dTLB-stores", "data TLB stores", func(in perfInputs) float64 { return in.instr * tlbLoadFraction * 0.5 }},
+	{"dTLB-store-misses", "data TLB store misses", func(in perfInputs) float64 { return in.instr * tlbLoadFraction * 0.5 * tlbMissRate }},
+	{"iTLB-loads", "instruction TLB loads", func(in perfInputs) float64 { return in.instr * 0.2 }},
+	{"iTLB-load-misses", "instruction TLB load misses", func(in perfInputs) float64 { return in.instr * 0.2 * 0.0011 }},
+
+	// 9 software events.
+	{"context-switches", "scheduler context switches", func(in perfInputs) float64 { return float64(in.hv.perf.ContextSwitches) }},
+	{"cpu-migrations", "VCPU migrations between cores", func(in perfInputs) float64 { return float64(in.hv.perf.SchedRuns) * 0.02 }},
+	{"page-faults", "total page faults", func(in perfInputs) float64 { return float64(in.faults) }},
+	{"minor-faults", "minor page faults", func(in perfInputs) float64 { return float64(in.faults - in.majFaults) }},
+	{"major-faults", "major page faults", func(in perfInputs) float64 { return float64(in.majFaults) }},
+	{"alignment-faults", "alignment fixups", never},
+	{"emulation-faults", "emulated instructions", never},
+	{"task-clock", "task clock (ms)", func(in perfInputs) float64 { return in.seconds() * 1e3 }},
+	{"cpu-clock", "cpu clock (ms)", func(in perfInputs) float64 { return in.seconds() * 1e3 }},
+
+	// 6 Xen-specific events.
+	{"xen-hypercalls", "hypercalls serviced", func(in perfInputs) float64 { return in.hypercalls }},
+	{"xen-grant-table-ops", "grant table map/unmap operations", func(in perfInputs) float64 { return float64(in.ios) * 2 }},
+	{"xen-event-channel-notifications", "event channel notifications", func(in perfInputs) float64 { return float64(in.ios) * 3 }},
+	{"xen-sched-runs", "credit scheduler invocations", func(in perfInputs) float64 { return float64(in.hv.perf.SchedRuns) }},
+	{"xen-steal-time-ms", "cumulative steal time across domains (ms)", func(in perfInputs) float64 { return in.stealMs }},
+	{"xen-domain-switches", "domain context switches", func(in perfInputs) float64 { return float64(in.hv.perf.ContextSwitches) }},
+
+	// 8 L2/node events.
+	{"L2-loads", "L2 cache loads", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * l1MissRate }},
+	{"L2-load-misses", "L2 cache load misses", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * l1MissRate * 0.3 }},
+	{"L2-stores", "L2 cache stores", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 * l1MissRate }},
+	{"L2-store-misses", "L2 cache store misses", func(in perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 * l1MissRate * 0.3 }},
+	{"node-loads", "local memory node loads", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.9 }},
+	{"node-load-misses", "remote memory node loads", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.1 }},
+	{"node-stores", "local memory node stores", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.4 }},
+	{"node-store-misses", "remote memory node stores", func(in perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.05 }},
+
+	// 3 energy meters.
+	{"power-pkg-joules", "package energy meter", func(in perfInputs) float64 { return in.seconds() * 38 }},
+	{"power-cores-joules", "core energy meter", func(in perfInputs) float64 { return in.seconds() * 24 }},
+	{"power-dram-joules", "DRAM energy meter", func(in perfInputs) float64 { return in.seconds() * 7 }},
+}
+
+// perfCores is the number of cores with per-core counters.
+const perfCores = 8
+
+// perCore reports one core's share of the host's physical cycles; the
+// load is spread evenly, so every core reads the same.
+func (in perfInputs) perCore() float64 { return in.totalPhys / perfCores }
+
+// coreCounters are the 9 counters each core reports, named
+// "cpu<core>-<suffix>" and described "core <core> <desc>".
+var coreCounters = [9]perfCounterDef{
+	{"cycles", "unhalted cycles", func(in perfInputs) float64 { return in.perCore() }},
+	{"instructions", "instructions retired", func(in perfInputs) float64 { return in.perCore() * ipc }},
+	{"cache-misses", "LLC misses", func(in perfInputs) float64 { return in.perCore() * ipc * llcRefPerInstr * llcMissRate }},
+	{"branch-misses", "branch misses", func(in perfInputs) float64 { return in.perCore() * ipc * branchFraction * branchMissRate }},
+	{"aperf", "actual performance clock", func(in perfInputs) float64 { return in.perCore() }},
+	{"mperf", "maximum performance clock", func(in perfInputs) float64 {
+		return float64(in.hv.k.Now()) / 1e9 * in.hv.host.Spec.FreqHz / perfCores
+	}},
+	{"irqs", "hardware interrupts", func(in perfInputs) float64 { return float64(in.hv.dom0.OS.Interrupts) / perfCores }},
+	{"softirqs", "soft interrupts", func(in perfInputs) float64 { return float64(in.hv.dom0.OS.SoftIRQs) / perfCores }},
+	{"llc-references", "LLC references", func(in perfInputs) float64 { return in.perCore() * ipc * llcRefPerInstr }},
+}
+
+// perfVMSlots is the number of VM slots with runstate counters: the
+// testbed hosts up to ten VMs per server, and empty slots read zero.
+const perfVMSlots = 10
+
+// slotCounter declares one runstate counter of a VM slot, evaluated
+// over the guest in that slot.
+type slotCounter struct {
+	suffix, desc string
+	value        func(in perfInputs, g *Domain) float64
+}
+
+// slotCounters are the 3 counters each VM slot reports, named
+// "dom<slot>-<suffix>" and described "VM slot <slot> <desc>".
+var slotCounters = [3]slotCounter{
+	{"runstate-running-ms", "time running (ms)", func(_ perfInputs, g *Domain) float64 {
+		return float64(g.CPU.BusyTime()) / 1e6
+	}},
+	{"runstate-runnable-ms", "time runnable/stolen (ms)", func(_ perfInputs, g *Domain) float64 {
+		return float64(g.StealTime()) / 1e6
+	}},
+	{"runstate-blocked-ms", "time blocked (ms)", func(in perfInputs, g *Domain) float64 {
+		busy := float64(g.CPU.BusyTime()+g.StealTime()) / 1e6
+		total := float64(in.hv.k.Now()) / 1e6 * float64(g.VCPUs)
+		if total < busy {
 			return 0
-		case "task-clock", "cpu-clock":
-			return totalPhys / hv.host.Spec.FreqHz * 1e3
-		case "xen-hypercalls":
-			return hypercalls
-		case "xen-grant-table-ops":
-			return float64(ios) * 2
-		case "xen-event-channel-notifications":
-			return float64(ios) * 3
-		case "xen-sched-runs":
-			return float64(hv.perf.SchedRuns)
-		case "xen-steal-time-ms":
-			return stealMs
-		case "xen-domain-switches":
-			return float64(hv.perf.ContextSwitches)
-		case "L2-loads":
-			return instr * l1LoadPerInstr * l1MissRate
-		case "L2-load-misses":
-			return instr * l1LoadPerInstr * l1MissRate * 0.3
-		case "L2-stores":
-			return instr * l1LoadPerInstr * 0.55 * l1MissRate
-		case "L2-store-misses":
-			return instr * l1LoadPerInstr * 0.55 * l1MissRate * 0.3
-		case "node-loads":
-			return instr * llcRefPerInstr * llcMissRate * 0.9
-		case "node-load-misses":
-			return instr * llcRefPerInstr * llcMissRate * 0.1
-		case "node-stores":
-			return instr * llcRefPerInstr * llcMissRate * 0.4
-		case "node-store-misses":
-			return instr * llcRefPerInstr * llcMissRate * 0.05
-		case "power-pkg-joules":
-			return totalPhys / hv.host.Spec.FreqHz * 38
-		case "power-cores-joules":
-			return totalPhys / hv.host.Spec.FreqHz * 24
-		case "power-dram-joules":
-			return totalPhys / hv.host.Spec.FreqHz * 7
 		}
-		// Per-core and per-slot counters.
-		var core int
-		if n, _ := fmt.Sscanf(name, "cpu%d-", &core); n == 1 {
-			perCore := totalPhys / 8
-			switch suffixAfterDash(name) {
-			case "cycles", "aperf":
-				return perCore
-			case "instructions":
-				return perCore * ipc
-			case "cache-misses":
-				return perCore * ipc * llcRefPerInstr * llcMissRate
-			case "branch-misses":
-				return perCore * ipc * branchFraction * branchMissRate
-			case "mperf":
-				return float64(hv.k.Now()) / 1e9 * hv.host.Spec.FreqHz / 8
-			case "irqs":
-				return float64(hv.dom0.OS.Interrupts) / 8
-			case "softirqs":
-				return float64(hv.dom0.OS.SoftIRQs) / 8
-			case "llc-references":
-				return perCore * ipc * llcRefPerInstr
-			}
-		}
-		var slot int
-		if n, _ := fmt.Sscanf(name, "dom%d-", &slot); n == 1 && slot >= 1 {
-			if slot > len(hv.guests) {
-				return 0
-			}
-			g := hv.guests[slot-1]
-			switch suffixAfterDash(name) {
-			case "runstate-running-ms":
-				return float64(g.CPU.BusyTime()) / 1e6
-			case "runstate-runnable-ms":
-				return float64(g.StealTime()) / 1e6
-			case "runstate-blocked-ms":
-				busy := float64(g.CPU.BusyTime()+g.StealTime()) / 1e6
-				total := float64(hv.k.Now()) / 1e6 * float64(g.VCPUs)
-				if total < busy {
-					return 0
-				}
-				return total - busy
-			}
-		}
-		return 0
-	}
+		return total - busy
+	}},
+}
 
-	out := make([]PerfCounter, 0, len(names))
-	for _, n := range names {
-		out = append(out, PerfCounter{Name: n.name, Description: n.desc, Value: value(n.name)})
+// PerfCounterCount is the number of hypervisor hardware counters, equal
+// to the paper's 154: 52 host-wide counters, 8 cores x 9 and 10 VM
+// slots x 3.
+const PerfCounterCount = 154
+
+// perfCounters is the catalog in harvest order. The paper profiled 154
+// hardware counters with a modified perf running in the Xen hypervisor;
+// this table reproduces that width, and a test pins its bytes.
+var perfCounters = buildPerfCounters()
+
+// buildPerfCounters expands the per-core and per-slot rows, binding each
+// row's index, after the host-wide counters.
+func buildPerfCounters() []perfCounterDef {
+	out := append(make([]perfCounterDef, 0, PerfCounterCount), hostCounters[:]...)
+	for core := 0; core < perfCores; core++ {
+		n := strconv.Itoa(core)
+		for _, c := range coreCounters {
+			out = append(out, perfCounterDef{"cpu" + n + "-" + c.name, "core " + n + " " + c.desc, c.value})
+		}
+	}
+	for slot := 1; slot <= perfVMSlots; slot++ {
+		n := strconv.Itoa(slot)
+		for _, c := range slotCounters {
+			value := c.value
+			out = append(out, perfCounterDef{"dom" + n + "-" + c.suffix, "VM slot " + n + " " + c.desc,
+				func(in perfInputs) float64 {
+					if slot > len(in.hv.guests) {
+						return 0
+					}
+					return value(in, in.hv.guests[slot-1])
+				}})
+		}
 	}
 	return out
 }
 
-// suffixAfterDash returns the part of name after the first '-'.
-func suffixAfterDash(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '-' {
-			return name[i+1:]
-		}
+// CatalogOnly returns the counter identities with zero values, for code
+// that needs the catalog without a live hypervisor (e.g. Table 1).
+func CatalogOnly() []PerfCounter {
+	out := make([]PerfCounter, len(perfCounters))
+	for i, c := range perfCounters {
+		out[i] = PerfCounter{Name: c.name, Description: c.desc}
 	}
-	return ""
+	return out
+}
+
+// PerfCounters synthesizes the 154 hypervisor counters from cumulative
+// simulation state. Counters are cumulative; the collector differences
+// consecutive samples.
+func (hv *Hypervisor) PerfCounters() []PerfCounter {
+	in := perfInputs{hv: hv, totalPhys: hv.dom0.PhysCycles()}
+	guestPhys := 0.0
+	for _, g := range hv.guests {
+		guestPhys += g.PhysCycles()
+		in.hypercalls += g.hypercallPhys / hv.params.HypercallCycles
+		in.stealMs += float64(g.StealTime()) / 1e6
+	}
+	in.totalPhys += guestPhys
+	in.instr = in.totalPhys * ipc
+	in.addDomain(hv.dom0)
+	for _, g := range hv.guests {
+		in.addDomain(g)
+	}
+
+	out := make([]PerfCounter, len(perfCounters))
+	for i, c := range perfCounters {
+		out[i] = PerfCounter{Name: c.name, Description: c.desc, Value: c.value(in)}
+	}
+	return out
+}
+
+// addDomain adds d's fault and I/O counts to the harvest totals.
+func (in *perfInputs) addDomain(d *Domain) {
+	in.faults += d.OS.Faults
+	in.majFaults += d.OS.MajFaults
+	in.ios += d.DiskOps
 }

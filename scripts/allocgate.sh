@@ -22,6 +22,8 @@ cd "$(dirname "$0")/.."
 #    interactions, building rows in each table's tuple buffer (the
 #    pages and index nodes the growing tables take amortize below one
 #    allocation per op).
+#  - sysstat: one collection round over three targets with the full
+#    182-metric catalog on, every 2 s of simulated time.
 #  - root: attaching a recycled snapshot view, once per replication.
 gates='
 ./internal/sim/       BenchmarkKernelTickerHeavy     200000x 1
@@ -34,6 +36,7 @@ gates='
 ./internal/tiers/     BenchmarkCacheHitDispatch$     200000x 1
 ./internal/rubis/     BenchmarkExecuteReads$         200000x 1
 ./internal/rubis/     BenchmarkExecuteWrites$        200000x 1
+./internal/sysstat/   BenchmarkCollectorSample$      200000x 1
 .                     BenchmarkSnapshotAttach$       200x    1
 '
 
