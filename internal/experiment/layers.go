@@ -9,8 +9,10 @@ import (
 // layer is one optional part of a run. Its constructor does the
 // layer's construction work and returns the zero layer when the
 // configuration does not ask for it. Each func is optional: series
-// materializes telemetry series before the drivers reserve window
-// capacity, onWindow runs on the collector's ticker after every
+// declares the layer's telemetry series with Recorder.AddSeries, as
+// samplers over state the layer already keeps, before the drivers
+// reserve window capacity; the samplers run inside each driver's
+// RotateWindow. onWindow runs on the collector's ticker after every
 // driver's RotateWindow, and harvest copies the layer's accounting
 // into the result after the kernel stops.
 type layer struct {
@@ -26,8 +28,8 @@ type layer struct {
 // sequence order. Window hooks run in list order too: the hazard's
 // crashes, then the brownout controller's re-levelling (both in the
 // degradation layer), then the autoscaler's decision. Series and
-// harvest order do not matter: each series has its own Recorder field
-// and each harvest its own Result fields.
+// harvest order do not matter: each series samples its own state and
+// each harvest fills its own Result fields.
 func (d *deployment) layers() []layer {
 	return []layer{
 		d.requestLayer(),
@@ -53,23 +55,32 @@ func (d *deployment) requestLayer() layer {
 	return layer{
 		series: func() {
 			for i, drv := range d.drivers {
-				var retries func() uint64
+				rec, totals := drv.Recorder(), drv.RequestTotals
+				rec.AddSeries("timeouts", "requests/window", perWindow(func() uint64 { return totals().TimedOut }))
+				rec.AddSeries("sheds", "requests/window", perWindow(func() uint64 { return totals().Shed }))
+				rec.AddSeries("failures", "requests/window", perWindow(func() uint64 { return totals().Failed }))
+				retries := zero
 				if i < len(d.guards) {
-					retries = d.guards[i].RetryCount
+					retries = perWindow(d.guards[i].RetryCount)
 				}
-				drv.Recorder().EnableFaultSeries(retries)
+				rec.AddSeries("retries", "retries/window", retries)
+				// An idle window is fully available.
+				rec.AddSeries("availability", "fraction", share(
+					func() uint64 { return totals().Served },
+					func() uint64 { t := totals(); return t.TimedOut + t.Shed + t.Failed },
+					1))
 			}
 		},
 		harvest: func(res *Result) {
 			rs := &RequestStats{}
 			for _, drv := range d.drivers {
-				issued, served, timedOut, shed, failed, degraded := drv.RequestTotals()
-				rs.Issued += issued
-				rs.Served += served
-				rs.TimedOut += timedOut
-				rs.Shed += shed
-				rs.Failed += failed
-				rs.Degraded += degraded
+				t := drv.RequestTotals()
+				rs.Issued += t.Issued
+				rs.Served += t.Served
+				rs.TimedOut += t.TimedOut
+				rs.Shed += t.Shed
+				rs.Failed += t.Failed
+				rs.Degraded += t.Degraded
 			}
 			rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
 			res.Requests = rs
@@ -118,16 +129,18 @@ func (d *deployment) monitorLayer() layer {
 func (d *deployment) degradationLayer() layer {
 	var hazard *tiers.Hazard
 	var overload *tiers.Overload
-	// The series sample nil gauges as zero.
-	var rate func() float64
-	var level func() int
+	// A gauge whose half of the layer is not built samples zero. The
+	// hazard rate reflects the window that closed at the previous
+	// boundary: gauges sample inside RotateWindow, before the hazard's
+	// own window hook.
+	rate, level := zero, zero
 	if d.inst != nil && d.cfg.Faults != nil && d.cfg.Faults.Hazard != nil {
 		hazard = tiers.NewHazard(d.k, d.inst.cluster, *d.cfg.Faults.Hazard, d.src.Stream("fault-hazard"))
 		rate = hazard.WindowRate
 	}
 	if d.inst != nil && d.cfg.Resilience != nil && d.cfg.Resilience.Brownout != nil {
 		overload = tiers.NewOverload(d.inst.cluster, *d.cfg.Resilience.Brownout)
-		level = overload.Level
+		level = func() float64 { return float64(overload.Level()) }
 		d.inst.cluster.SetOverload(overload)
 		for _, g := range d.guards {
 			g.SetOverload(overload)
@@ -139,7 +152,12 @@ func (d *deployment) degradationLayer() layer {
 	return layer{
 		series: func() {
 			for _, drv := range d.drivers {
-				drv.Recorder().EnableDegradationSeries(level, rate)
+				rec, totals := drv.Recorder(), drv.RequestTotals
+				// Degraded answers are deliberate fast responses, so they
+				// count in their own series, not against availability.
+				rec.AddSeries("degraded", "requests/window", perWindow(func() uint64 { return totals().Degraded }))
+				rec.AddSeries("brownout_level", "level", level)
+				rec.AddSeries("hazard_rate", "crashes/window", rate)
 			}
 		},
 		onWindow: func(now sim.Time) {
@@ -185,7 +203,9 @@ func (d *deployment) clusterLayer() layer {
 	}
 	c := d.inst.cluster
 	return layer{
-		series: func() { d.drivers[0].Recorder().SetReplicaGauge(c.ActiveReplicas) },
+		series: func() {
+			d.drivers[0].Recorder().AddSeries("replicas", "replicas", func() float64 { return float64(c.ActiveReplicas()) })
+		},
 		harvest: func(res *Result) {
 			res.ScaleEvents = c.Events
 			st := &ScalingStats{PeakReplicas: c.PeakActive()}
@@ -216,13 +236,16 @@ func (d *deployment) cacheLayer() layer {
 	}
 	cs := d.inst.cacheSrv
 	return layer{
-		// The recorder differences the cumulative counters per window;
-		// store stats survive cold restarts, so the diff stays monotonic.
+		// The series difference the node's cumulative counters per
+		// window; store stats survive cold restarts, so the differences
+		// stay non-negative.
 		series: func() {
-			d.drivers[0].Recorder().EnableCacheSeries(func() (hits, misses, stampedes uint64) {
-				s := cs.Snapshot()
-				return s.Hits, s.Misses, s.Stampedes
-			})
+			rec := d.drivers[0].Recorder()
+			rec.AddSeries("cache_hit_ratio", "fraction", share(
+				func() uint64 { return cs.Snapshot().Hits },
+				func() uint64 { return cs.Snapshot().Misses },
+				0))
+			rec.AddSeries("cache_stampedes", "fetches/window", perWindow(func() uint64 { return cs.Snapshot().Stampedes }))
 		},
 		harvest: func(res *Result) {
 			stats := cs.Snapshot()
@@ -244,11 +267,48 @@ func (d *deployment) queueLayer() layer {
 	qs := d.inst.queueSrv
 	return layer{
 		series: func() {
-			d.drivers[0].Recorder().EnableQueueSeries(qs.Depth, func() float64 { return qs.LagMs(d.k.Now()) })
+			rec := d.drivers[0].Recorder()
+			rec.AddSeries("queue_depth", "writes", func() float64 { return float64(qs.Depth()) })
+			rec.AddSeries("queue_lag_ms", "ms", func() float64 { return qs.LagMs(d.k.Now()) })
 		},
 		harvest: func(res *Result) {
 			stats := qs.Snapshot()
 			res.Queue = &stats
 		},
+	}
+}
+
+// zero samples a series that has nothing to report as 0.
+func zero() float64 { return 0 }
+
+// delta returns how much the cumulative counter cum has grown since
+// the previous call (since zero on the first), so a series samples a
+// per-window count from a counter that only ever grows.
+func delta(cum func() uint64) func() uint64 {
+	var last uint64
+	return func() uint64 {
+		c := cum()
+		d := c - last
+		last = c
+		return d
+	}
+}
+
+// perWindow samples delta(cum) as a series value.
+func perWindow(cum func() uint64) func() float64 {
+	d := delta(cum)
+	return func() float64 { return float64(d()) }
+}
+
+// share samples the fraction part/(part+rest) of what two cumulative
+// counters gained in the window, or idle when neither moved.
+func share(part, rest func() uint64, idle float64) func() float64 {
+	dp, dr := delta(part), delta(rest)
+	return func() float64 {
+		p, r := dp(), dr()
+		if p+r == 0 {
+			return idle
+		}
+		return float64(p) / (float64(p) + float64(r))
 	}
 }

@@ -107,15 +107,6 @@ func (s *Stream) Normal(mu, sigma float64) float64 {
 	return mu + sigma*s.r.NormFloat64()
 }
 
-// NormalPos returns a normal draw truncated below at zero.
-func (s *Stream) NormalPos(mu, sigma float64) float64 {
-	v := s.Normal(mu, sigma)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // LogNormal returns a lognormal draw where the underlying normal has mean
 // mu and standard deviation sigma.
 func (s *Stream) LogNormal(mu, sigma float64) float64 {

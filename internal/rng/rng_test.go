@@ -80,15 +80,6 @@ func TestLogNormalMeanMatchesTarget(t *testing.T) {
 	}
 }
 
-func TestNormalPosNeverNegative(t *testing.T) {
-	s := NewSource(3).Stream("np")
-	for i := 0; i < 10000; i++ {
-		if v := s.NormalPos(1, 5); v < 0 {
-			t.Fatalf("NormalPos returned %v", v)
-		}
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	s := NewSource(3).Stream("u")
 	for i := 0; i < 10000; i++ {

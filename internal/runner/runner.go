@@ -619,9 +619,12 @@ func aggregateSeries(reps []*experiment.Result) []SeriesAggregate {
 	return out
 }
 
+// summarize reduces one metric's replications to mean, standard
+// deviation and CI95 half-width; it allocates nothing, since
+// aggregateSeries calls it per window per series.
 func summarize(xs []float64) Metric {
-	s := stats.Summarize(xs)
-	m := Metric{N: s.N, Mean: s.Mean, Std: s.Std}
+	mean, variance := stats.MeanVar(xs)
+	m := Metric{N: len(xs), Mean: mean, Std: math.Sqrt(variance)}
 	if m.N > 1 {
 		m.CI95 = tCritical95(m.N-1) * m.Std / math.Sqrt(float64(m.N))
 	}

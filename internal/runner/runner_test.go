@@ -325,6 +325,16 @@ func TestSummarizeCI(t *testing.T) {
 	}
 }
 
+// TestSummarizeZeroAlloc pins that reducing one window's replications
+// allocates nothing: aggregateSeries calls summarize per window per
+// series per point.
+func TestSummarizeZeroAlloc(t *testing.T) {
+	xs := []float64{3.1, 2.7, 4.4, 3.9, 3.0}
+	if allocs := testing.AllocsPerRun(100, func() { summarize(xs) }); allocs != 0 {
+		t.Fatalf("summarize allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := tinyConfig(experiment.Virtualized, experiment.Mix30Browse)
 	cfg.Seed = 1234

@@ -41,11 +41,10 @@ func Summarize(xs []float64) Summary {
 	if s.N == 0 {
 		return s
 	}
-	sum := 0.0
+	s.Mean, s.Variance = MeanVar(xs)
 	s.Min = xs[0]
 	s.Max = xs[0]
 	for _, x := range xs {
-		sum += x
 		if x < s.Min {
 			s.Min = x
 		}
@@ -53,18 +52,16 @@ func Summarize(xs []float64) Summary {
 			s.Max = x
 		}
 	}
-	s.Mean = sum / float64(s.N)
 	if s.N > 1 {
-		ss := 0.0
-		cube := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-			cube += d * d * d
-		}
-		s.Variance = ss / float64(s.N-1)
 		s.Std = math.Sqrt(s.Variance)
 		if s.Std > 0 && s.N > 2 {
+			ss := 0.0
+			cube := 0.0
+			for _, x := range xs {
+				d := x - s.Mean
+				ss += d * d
+				cube += d * d * d
+			}
 			n := float64(s.N)
 			m3 := cube / n
 			m2 := ss / n
@@ -83,6 +80,22 @@ func Summarize(xs []float64) Summary {
 	s.P95 = quantileSorted(sorted, 0.95)
 	s.P99 = quantileSorted(sorted, 0.99)
 	return s
+}
+
+// MeanVar returns the mean of xs and its sample variance (n-1
+// denominator; 0 below two samples), the values Summarize reports,
+// without Summarize's sorted copy. An empty sample yields zeros.
+func MeanVar(xs []float64) (mean, variance float64) {
+	mean = Mean(xs)
+	if len(xs) > 1 {
+		ss := 0.0
+		for _, x := range xs {
+			d := x - mean
+			ss += d * d
+		}
+		variance = ss / float64(len(xs)-1)
+	}
+	return mean, variance
 }
 
 // Quantile returns the q-quantile of xs with linear interpolation.
@@ -126,9 +139,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the unbiased sample variance.
-func Variance(xs []float64) float64 { return Summarize(xs).Variance }
 
 // Autocorrelation returns the sample autocorrelation at the given lag,
 // in [-1,1]; 0 for degenerate inputs.

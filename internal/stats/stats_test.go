@@ -38,6 +38,23 @@ func TestSummarizeKnownValues(t *testing.T) {
 	}
 }
 
+// TestMeanVarMatchesSummarize pins that the allocation-free mean and
+// variance are Summarize's, bit for bit, on the edge-case lengths too.
+func TestMeanVarMatchesSummarize(t *testing.T) {
+	samples := [][]float64{nil, {7}, {1, 2}, {0.1, 0.7, 0.2, 1e-9, 3.3, 2.5e3, 0.1}}
+	for _, xs := range samples {
+		s := Summarize(xs)
+		mean, variance := MeanVar(xs)
+		if math.Float64bits(mean) != math.Float64bits(s.Mean) || math.Float64bits(variance) != math.Float64bits(s.Variance) {
+			t.Fatalf("MeanVar(%v) = %v, %v; Summarize = %v, %v", xs, mean, variance, s.Mean, s.Variance)
+		}
+	}
+	xs := samples[len(samples)-1]
+	if allocs := testing.AllocsPerRun(100, func() { MeanVar(xs) }); allocs != 0 {
+		t.Fatalf("MeanVar allocates %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestSkewnessSign(t *testing.T) {
 	right := Summarize([]float64{1, 1, 1, 1, 2, 2, 3, 10})
 	if right.Skewness <= 0 {

@@ -7,7 +7,7 @@ import "testing"
 // reservoir append. The CI bench-smoke job gates this at 0 allocs/op
 // beside the kernel ticker and arrival-scheduling gates.
 func BenchmarkLatencyRecord(b *testing.B) {
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, true)
 	v := 0.0001
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -24,12 +24,13 @@ func BenchmarkLatencyRecord(b *testing.B) {
 }
 
 // BenchmarkWindowRotate times closing one 2 s window: four quantile
-// walks over the touched bin range, eight series appends, and the
-// window reset. Gated at 0 allocs/op in CI (the series capacity hint
-// covers the benchmark's windows, as experiment.Run's duration-derived
-// hint covers a run's).
+// walks over the touched bin range, the base series appends, and the
+// window reset. Gated at 0 allocs/op in CI (ReserveWindows covers the
+// benchmark's windows, as experiment.Run's duration-derived
+// reservation covers a run's).
 func BenchmarkWindowRotate(b *testing.B) {
-	rec := NewRecorder(2, b.N+1, true)
+	rec := NewRecorder(2, true)
+	rec.ReserveWindows(b.N + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

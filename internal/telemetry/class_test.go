@@ -64,7 +64,7 @@ func TestHistExcessAboveOracle(t *testing.T) {
 // read-write observations land in their own window p95 series while the
 // combined histogram sees everything once.
 func TestRecorderClassAttribution(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, false)
 	for i := 0; i < 40; i++ {
 		r.Record(0.010, false) // fast reads
 	}
@@ -99,7 +99,7 @@ func TestRecorderClassAttribution(t *testing.T) {
 // the abandoned histogram is a subset and the per-window Abandoned
 // series counts the window's driven-away sessions.
 func TestRecorderAbandonAccounting(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, false)
 	for i := 0; i < 20; i++ {
 		r.Record(0.050, false)
 	}
@@ -132,14 +132,14 @@ func TestRecorderAbandonAccounting(t *testing.T) {
 }
 
 // TestReplicaGaugeSeries: the replicas series materializes only when a
-// gauge is wired and then samples it at every window boundary.
+// gauge is added and then samples it at every window boundary.
 func TestReplicaGaugeSeries(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, false)
 	if r.Series().Replicas != nil {
 		t.Fatal("replicas series must stay nil without a gauge")
 	}
 	n := 1
-	r.SetReplicaGauge(func() int { return n })
+	r.AddSeries("replicas", "replicas", func() float64 { return float64(n) })
 	if r.Series().Replicas == nil {
 		t.Fatal("gauge did not materialize the series")
 	}
@@ -154,10 +154,9 @@ func TestReplicaGaugeSeries(t *testing.T) {
 	for _, sr := range r.Series().Present() {
 		names[sr.Name] = true
 	}
-	// The five fault series, three degradation series, two cache series
-	// and two queue series stay absent unless enabled; everything else
-	// is present once the gauge is wired.
-	if !names["replicas"] || len(names) != len(SeriesNames)-12 {
-		t.Fatalf("Present() with a gauge = %d series, want %d", len(names), len(SeriesNames)-12)
+	// The other optional series stay absent unless added; the base
+	// series are always present.
+	if !names["replicas"] || len(names) != len(baseUnits)+1 {
+		t.Fatalf("Present() with a gauge = %d series, want %d", len(names), len(baseUnits)+1)
 	}
 }

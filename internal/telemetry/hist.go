@@ -25,8 +25,8 @@
 //
 // Hist is a fixed-size value type: Record is pure arithmetic on
 // embedded arrays (0 allocs/op, CI-gated via BenchmarkLatencyRecord).
-// Recorder rotation appends one sample to each preallocated series;
-// with a capacity hint covering the run it is also allocation-free
+// Recorder rotation appends one sample to each series; once
+// ReserveWindows covers the run it is also allocation-free
 // (BenchmarkWindowRotate).
 package telemetry
 

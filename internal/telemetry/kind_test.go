@@ -12,7 +12,7 @@ import (
 // (including the classic -1 "no attribution") only feed the combined
 // histograms, and the bank never double-counts the run total.
 func TestRecorderKindAttribution(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, false)
 	for i := 0; i < 30; i++ {
 		r.RecordKind(0.010, false, 3) // a fast read page
 	}
@@ -50,7 +50,7 @@ func TestRecorderKindAttribution(t *testing.T) {
 // TestRecorderKindSurvivesRotation pins that the bank is run-level:
 // window rotation must not reset per-kind histograms.
 func TestRecorderKindSurvivesRotation(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, false)
 	r.RecordKind(0.020, false, 5)
 	r.Rotate(0)
 	r.RecordKind(0.020, false, 5)
@@ -63,7 +63,7 @@ func TestRecorderKindSurvivesRotation(t *testing.T) {
 // TestRecorderKindZeroAlloc extends the record-path allocation gate to
 // the attributed form (all 26 interaction kinds ride this path).
 func TestRecorderKindZeroAlloc(t *testing.T) {
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, true)
 	r := rng.NewSource(11).Stream("kinds")
 	kind := 0
 	v := 0.001

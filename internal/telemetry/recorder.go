@@ -17,7 +17,9 @@ import (
 const DefaultExactCap = 32768
 
 // SeriesNames labels the per-window series a Recorder emits, in
-// emission order. The names are shared with the runner's
+// WindowSeries field order. Every recorder emits the first eleven,
+// the base series; the rest are optional and present only when added
+// through AddSeries. The names are shared with the runner's
 // cross-replication series aggregation.
 var SeriesNames = []string{
 	"latency_mean_ms",
@@ -46,6 +48,16 @@ var SeriesNames = []string{
 	"queue_lag_ms",
 }
 
+// baseUnits holds the unit of each series every recorder emits, in
+// SeriesNames order.
+var baseUnits = [...]string{
+	"ms", "ms", "ms", "ms",
+	"req/s", "requests",
+	"sessions/window", "sessions/window",
+	"ms", "ms",
+	"sessions/window",
+}
+
 // MaxKinds bounds the per-interaction histogram bank (RUBiS has 26
 // kinds; the bank is fixed-size so the record path stays a bounds check
 // plus an array index).
@@ -72,42 +84,55 @@ type WindowSeries struct {
 	// Abandoned counts sessions driven away within the window by an
 	// SLO-violating response.
 	Abandoned *timeseries.Series
-	// Replicas is the active web-replica gauge at each window boundary;
-	// nil unless a replica gauge was wired (cluster runs).
+
+	// The remaining series are optional: each is nil unless a run
+	// layer added it with AddSeries.
+
+	// Replicas is the active web-replica gauge at each window boundary
+	// (cluster runs).
 	Replicas *timeseries.Series
 	// Timeouts/Sheds/Failures count abnormal request outcomes per
 	// window; Retries counts guard re-dispatches per window;
-	// Availability is served/(served+abnormal) per window. All nil
-	// unless fault telemetry was enabled (fault-injection runs).
+	// Availability is served/(served+abnormal) per window (fault and
+	// resilience runs).
 	Timeouts, Sheds, Failures, Retries, Availability *timeseries.Series
 	// Degraded counts requests answered degraded per window (brownout
 	// drops and over-bound fast-fails); BrownoutLevel is the overload
 	// controller's degradation-level gauge at each boundary; HazardRate
 	// is the load-coupled hazard's armed probability mass for the
-	// window that just closed. All nil unless degradation telemetry was
-	// enabled (hazard/brownout runs).
+	// window that just closed (hazard and brownout runs).
 	Degraded, BrownoutLevel, HazardRate *timeseries.Series
 	// HitRatio is the cache tier's per-window hit fraction and
-	// Stampedes its per-window redundant concurrent DB fetches; nil
-	// unless cache telemetry was enabled (cache-tier runs).
+	// Stampedes its per-window redundant concurrent DB fetches
+	// (cache-tier runs).
 	HitRatio, Stampedes *timeseries.Series
 	// QueueDepth/QueueLag are the write-behind broker's backlog and
-	// oldest-entry age gauges at each boundary; nil unless queue
-	// telemetry was enabled.
+	// oldest-entry age gauges at each boundary (queue-tier runs).
 	QueueDepth, QueueLag *timeseries.Series
 }
 
-// All lists the series in SeriesNames order. Entries may be nil (the
-// replica gauge is only present on cluster runs); Present filters.
-func (w *WindowSeries) All() []*timeseries.Series {
-	return []*timeseries.Series{
-		w.LatencyMean, w.LatencyP50, w.LatencyP95, w.LatencyP99,
-		w.Throughput, w.Inflight, w.Starts, w.Ends,
-		w.LatencyReadP95, w.LatencyRWP95, w.Abandoned, w.Replicas,
-		w.Timeouts, w.Sheds, w.Failures, w.Retries, w.Availability,
-		w.Degraded, w.BrownoutLevel, w.HazardRate,
-		w.HitRatio, w.Stampedes, w.QueueDepth, w.QueueLag,
+// slots lists the address of every series field in SeriesNames order:
+// the one place a name is tied to its field.
+func (w *WindowSeries) slots() []**timeseries.Series {
+	return []**timeseries.Series{
+		&w.LatencyMean, &w.LatencyP50, &w.LatencyP95, &w.LatencyP99,
+		&w.Throughput, &w.Inflight, &w.Starts, &w.Ends,
+		&w.LatencyReadP95, &w.LatencyRWP95, &w.Abandoned, &w.Replicas,
+		&w.Timeouts, &w.Sheds, &w.Failures, &w.Retries, &w.Availability,
+		&w.Degraded, &w.BrownoutLevel, &w.HazardRate,
+		&w.HitRatio, &w.Stampedes, &w.QueueDepth, &w.QueueLag,
 	}
+}
+
+// All lists the series in SeriesNames order. Optional entries are nil
+// unless added; Present filters.
+func (w *WindowSeries) All() []*timeseries.Series {
+	slots := w.slots()
+	out := make([]*timeseries.Series, len(slots))
+	for i, p := range slots {
+		out[i] = *p
+	}
+	return out
 }
 
 // Present lists the non-nil series in SeriesNames order.
@@ -124,9 +149,9 @@ func (w *WindowSeries) Present() []*timeseries.Series {
 
 // ByName returns the named series, or nil for an unknown or absent name.
 func (w *WindowSeries) ByName(name string) *timeseries.Series {
-	for i, s := range w.All() {
+	for i, p := range w.slots() {
 		if SeriesNames[i] == name {
-			return s
+			return *p
 		}
 	}
 	return nil
@@ -140,8 +165,7 @@ func (w *WindowSeries) Windows() int { return w.LatencyP95.Len() }
 // from the sysstat collector's sampling ticker, which is what aligns
 // the emitted series with the resource series sample for sample.
 type Recorder struct {
-	windowSec  float64
-	windowHint int
+	windowSec float64
 
 	// win is the current window's histogram; run is the whole-run
 	// merge, recorded in the same pass (one bin computation shared by
@@ -158,31 +182,9 @@ type Recorder struct {
 	abandon     Hist
 	winAbandons uint64
 
-	// replicaGauge, when wired, samples the active web-replica count at
-	// each window boundary into the Replicas series.
-	replicaGauge func() int
-
-	// Fault accounting (fault-injection runs only): window-local
-	// abnormal-outcome counters, plus the guard's cumulative retry
-	// source differenced at each window boundary.
-	winTimeouts, winSheds, winFails uint64
-	retryFn                         func() uint64
-	lastRetries                     uint64
-
-	// Degradation accounting (hazard/brownout runs only): window-local
-	// degraded-outcome counter plus the level and hazard-rate gauges
-	// sampled at each boundary.
-	winDegraded uint64
-	levelGauge  func() int
-	hazardGauge func() float64
-
-	// Cache/queue accounting (cache-tier runs only): the node's
-	// cumulative counters differenced at each boundary, plus backlog
-	// gauges.
-	cacheFn                            func() (hits, misses, stampedes uint64)
-	lastHits, lastMisses, lastStampede uint64
-	depthGauge                         func() int
-	lagGauge                           func() float64
+	// added lists the optional series in the order AddSeries built
+	// them, each with the sampler Rotate appends from.
+	added []addedSeries
 
 	// kind is the per-interaction run-level histogram bank, indexed by
 	// the dense kind index stamped into every rubis.Result.
@@ -201,122 +203,53 @@ type Recorder struct {
 	series WindowSeries
 }
 
+type addedSeries struct {
+	s      *timeseries.Series
+	sample func() float64
+}
+
 // NewRecorder builds a recorder with the given window length in
-// seconds and a capacity hint in windows (how many Rotate calls the
-// run is expected to make; rotation never allocates while within the
-// hint). prealloc reserves the exact reservoir up front so steady-state
-// recording never allocates either — the open-loop driver's zero-alloc
-// discipline.
-func NewRecorder(windowSec float64, windowHint int, prealloc bool) *Recorder {
-	r := &Recorder{windowSec: windowSec, windowHint: windowHint, exactCap: DefaultExactCap}
+// seconds, emitting the base series. prealloc reserves the exact
+// reservoir up front so steady-state recording never allocates — the
+// open-loop driver's zero-alloc discipline. ReserveWindows sizes the
+// series.
+func NewRecorder(windowSec float64, prealloc bool) *Recorder {
+	r := &Recorder{windowSec: windowSec, exactCap: DefaultExactCap}
 	if prealloc {
 		r.exact = make([]float64, 0, r.exactCap)
 	}
 	r.kind = make([]Hist, MaxKinds)
-	r.series = WindowSeries{
-		LatencyMean:    r.newSeries(SeriesNames[0], "ms"),
-		LatencyP50:     r.newSeries(SeriesNames[1], "ms"),
-		LatencyP95:     r.newSeries(SeriesNames[2], "ms"),
-		LatencyP99:     r.newSeries(SeriesNames[3], "ms"),
-		Throughput:     r.newSeries(SeriesNames[4], "req/s"),
-		Inflight:       r.newSeries(SeriesNames[5], "requests"),
-		Starts:         r.newSeries(SeriesNames[6], "sessions/window"),
-		Ends:           r.newSeries(SeriesNames[7], "sessions/window"),
-		LatencyReadP95: r.newSeries(SeriesNames[8], "ms"),
-		LatencyRWP95:   r.newSeries(SeriesNames[9], "ms"),
-		Abandoned:      r.newSeries(SeriesNames[10], "sessions/window"),
+	for i, p := range r.series.slots()[:len(baseUnits)] {
+		*p = r.newSeries(SeriesNames[i], baseUnits[i])
 	}
 	return r
 }
 
 func (r *Recorder) newSeries(name, unit string) *timeseries.Series {
-	s := &timeseries.Series{Name: name, Unit: unit, Interval: r.windowSec}
-	if r.windowHint > 0 {
-		s.Values = make([]float64, 0, r.windowHint)
-	}
-	return s
+	return &timeseries.Series{Name: name, Unit: unit, Interval: r.windowSec}
 }
 
-// SetReplicaGauge wires the active-replica gauge and materializes the
-// Replicas series; absent a gauge the series stays nil and consumers
-// skip it. Cluster assembly calls this before ReserveWindows.
-func (r *Recorder) SetReplicaGauge(fn func() int) {
-	r.replicaGauge = fn
-	if fn != nil && r.series.Replicas == nil {
-		r.series.Replicas = r.newSeries(SeriesNames[11], "replicas")
-	}
-}
-
-// EnableFaultSeries materializes the per-window fault series
-// (timeouts, sheds, failures, retries, availability); absent the call
-// they stay nil and consumers skip them, which is what keeps fault
-// telemetry out of fault-free runs. retries supplies the guard's
-// cumulative retry count (nil for a constant zero). Call before
+// AddSeries materializes the optional series name, in unit, and has
+// every Rotate append sample() to it after the base series, in the
+// order series were added. name must be one of SeriesNames past the
+// base series and not yet added; anything else panics. Call before
 // ReserveWindows.
-func (r *Recorder) EnableFaultSeries(retries func() uint64) {
-	r.retryFn = retries
-	if r.series.Timeouts == nil {
-		r.series.Timeouts = r.newSeries(SeriesNames[12], "requests/window")
-		r.series.Sheds = r.newSeries(SeriesNames[13], "requests/window")
-		r.series.Failures = r.newSeries(SeriesNames[14], "requests/window")
-		r.series.Retries = r.newSeries(SeriesNames[15], "retries/window")
-		r.series.Availability = r.newSeries(SeriesNames[16], "fraction")
+func (r *Recorder) AddSeries(name, unit string, sample func() float64) {
+	slots := r.series.slots()
+	for i := len(baseUnits); i < len(SeriesNames); i++ {
+		if SeriesNames[i] != name {
+			continue
+		}
+		if *slots[i] != nil {
+			panic("telemetry: series " + name + " added twice")
+		}
+		s := r.newSeries(name, unit)
+		*slots[i] = s
+		r.added = append(r.added, addedSeries{s, sample})
+		return
 	}
+	panic("telemetry: " + name + " is not an optional series")
 }
-
-// EnableDegradationSeries materializes the per-window degradation
-// series (degraded count, brownout level, hazard rate); absent the
-// call they stay nil and consumers skip them. level and hazardRate
-// supply the controller/hazard gauges sampled at each boundary (nil
-// samples as zero; the hazard rate reflects the window that closed at
-// the previous boundary, since gauges sample before the hazard's own
-// hook runs). Call before ReserveWindows.
-func (r *Recorder) EnableDegradationSeries(level func() int, hazardRate func() float64) {
-	r.levelGauge = level
-	r.hazardGauge = hazardRate
-	if r.series.Degraded == nil {
-		r.series.Degraded = r.newSeries(SeriesNames[17], "requests/window")
-		r.series.BrownoutLevel = r.newSeries(SeriesNames[18], "level")
-		r.series.HazardRate = r.newSeries(SeriesNames[19], "crashes/window")
-	}
-}
-
-// EnableCacheSeries materializes the per-window cache series (hit
-// ratio, stampede count); stats supplies the cache node's cumulative
-// web-visible hits/misses and redundant stampede fetches, differenced
-// at each boundary. Call before ReserveWindows.
-func (r *Recorder) EnableCacheSeries(stats func() (hits, misses, stampedes uint64)) {
-	r.cacheFn = stats
-	if r.series.HitRatio == nil {
-		r.series.HitRatio = r.newSeries(SeriesNames[20], "fraction")
-		r.series.Stampedes = r.newSeries(SeriesNames[21], "fetches/window")
-	}
-}
-
-// EnableQueueSeries materializes the per-window queue series (backlog
-// depth and oldest-entry lag gauges at each boundary). Call before
-// ReserveWindows.
-func (r *Recorder) EnableQueueSeries(depth func() int, lagMs func() float64) {
-	r.depthGauge = depth
-	r.lagGauge = lagMs
-	if r.series.QueueDepth == nil {
-		r.series.QueueDepth = r.newSeries(SeriesNames[22], "writes")
-		r.series.QueueLag = r.newSeries(SeriesNames[23], "ms")
-	}
-}
-
-// NoteTimeout tallies one timed-out request in the current window.
-func (r *Recorder) NoteTimeout() { r.winTimeouts++ }
-
-// NoteShed tallies one breaker-shed request in the current window.
-func (r *Recorder) NoteShed() { r.winSheds++ }
-
-// NoteFailure tallies one errored request in the current window.
-func (r *Recorder) NoteFailure() { r.winFails++ }
-
-// NoteDegraded tallies one degraded-answered request in the current
-// window.
-func (r *Recorder) NoteDegraded() { r.winDegraded++ }
 
 // Record adds one response-time observation in seconds, attributed to
 // its interaction class (isWrite selects read-write). Allocation-free
@@ -389,8 +322,8 @@ func (r *Recorder) NoteEnd() { r.ends++ }
 
 // Rotate closes the current window, appending one sample to every
 // series: window latency stats, throughput, the inflight gauge passed
-// by the caller, and session churn. The window histogram and counters
-// reset for the next window.
+// by the caller and session churn, then each added series' sampler.
+// The window histogram and counters reset for the next window.
 func (r *Recorder) Rotate(inflight int) {
 	w := &r.win
 	r.series.LatencyMean.Append(w.Mean() * 1e3)
@@ -404,71 +337,8 @@ func (r *Recorder) Rotate(inflight int) {
 	r.series.LatencyReadP95.Append(r.winClass[0].Quantile(0.95) * 1e3)
 	r.series.LatencyRWP95.Append(r.winClass[1].Quantile(0.95) * 1e3)
 	r.series.Abandoned.Append(float64(r.winAbandons))
-	if r.series.Replicas != nil {
-		r.series.Replicas.Append(float64(r.replicaGauge()))
-	}
-	if r.series.Timeouts != nil {
-		r.series.Timeouts.Append(float64(r.winTimeouts))
-		r.series.Sheds.Append(float64(r.winSheds))
-		r.series.Failures.Append(float64(r.winFails))
-		var retries uint64
-		if r.retryFn != nil {
-			cum := r.retryFn()
-			retries = cum - r.lastRetries
-			r.lastRetries = cum
-		}
-		r.series.Retries.Append(float64(retries))
-		served := float64(w.Count())
-		faulted := float64(r.winTimeouts + r.winSheds + r.winFails)
-		avail := 1.0
-		if served+faulted > 0 {
-			avail = served / (served + faulted)
-		}
-		r.series.Availability.Append(avail)
-		r.winTimeouts, r.winSheds, r.winFails = 0, 0, 0
-	}
-	if r.series.Degraded != nil {
-		// Degraded answers are deliberate fast responses, so they count
-		// in their own series, not against availability.
-		r.series.Degraded.Append(float64(r.winDegraded))
-		lvl := 0
-		if r.levelGauge != nil {
-			lvl = r.levelGauge()
-		}
-		r.series.BrownoutLevel.Append(float64(lvl))
-		hz := 0.0
-		if r.hazardGauge != nil {
-			hz = r.hazardGauge()
-		}
-		r.series.HazardRate.Append(hz)
-		r.winDegraded = 0
-	}
-	if r.series.HitRatio != nil {
-		var dh, dm, ds uint64
-		if r.cacheFn != nil {
-			hits, misses, stampedes := r.cacheFn()
-			dh = hits - r.lastHits
-			dm = misses - r.lastMisses
-			ds = stampedes - r.lastStampede
-			r.lastHits, r.lastMisses, r.lastStampede = hits, misses, stampedes
-		}
-		ratio := 0.0
-		if dh+dm > 0 {
-			ratio = float64(dh) / float64(dh+dm)
-		}
-		r.series.HitRatio.Append(ratio)
-		r.series.Stampedes.Append(float64(ds))
-	}
-	if r.series.QueueDepth != nil {
-		d, lag := 0, 0.0
-		if r.depthGauge != nil {
-			d = r.depthGauge()
-		}
-		if r.lagGauge != nil {
-			lag = r.lagGauge()
-		}
-		r.series.QueueDepth.Append(float64(d))
-		r.series.QueueLag.Append(lag)
+	for _, a := range r.added {
+		a.s.Append(a.sample())
 	}
 	w.Reset()
 	r.winClass[0].Reset()
@@ -480,8 +350,7 @@ func (r *Recorder) Rotate(inflight int) {
 // ReserveWindows grows every series' capacity to hold n windows, so
 // rotation within that horizon never allocates. experiment.Run calls
 // it with the run's duration-derived window count before the kernel
-// starts; the capacity hint at construction covers callers that know
-// the horizon up front.
+// starts.
 func (r *Recorder) ReserveWindows(n int) {
 	for _, s := range r.series.Present() {
 		if cap(s.Values)-len(s.Values) < n {

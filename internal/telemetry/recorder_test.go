@@ -11,7 +11,7 @@ import (
 // windows with known observations produce the expected per-window
 // mean/quantile/throughput/churn samples on a shared 2 s axis.
 func TestRecorderWindowSeries(t *testing.T) {
-	rec := NewRecorder(2, 8, false)
+	rec := NewRecorder(2, false)
 
 	// Window 1: four fast responses, one session starting and ending.
 	rec.NoteStart()
@@ -94,7 +94,7 @@ func TestRecorderWindowSeries(t *testing.T) {
 // to the historical sort-and-index computation over every observation.
 func TestRecorderExactQuantileEquivalence(t *testing.T) {
 	r := rng.NewSource(3).Stream("exact")
-	rec := NewRecorder(2, 0, false)
+	rec := NewRecorder(2, false)
 	var xs []float64
 	for i := 0; i < 5000; i++ {
 		v := r.LogNormal(math.Log(0.02), 1.0)
@@ -125,7 +125,7 @@ func TestRecorderExactQuantileEquivalence(t *testing.T) {
 // everything after its first 200k samples.
 func TestRecorderHistogramFallback(t *testing.T) {
 	r := rng.NewSource(5).Stream("fallback")
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, true)
 	n := DefaultExactCap + 20000
 	xs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
@@ -150,7 +150,7 @@ func TestRecorderHistogramFallback(t *testing.T) {
 // plus at most DefaultExactCap reservoir slots — instead of the run-
 // length-proportional (or 200k-float) slice it replaced.
 func TestRecorderMemoryBounded(t *testing.T) {
-	rec := NewRecorder(2, 0, false)
+	rec := NewRecorder(2, false)
 	r := rng.NewSource(9).Stream("mem")
 	for i := 0; i < 1_000_000; i++ {
 		rec.Record(r.Exp(0.01), false)
@@ -172,7 +172,7 @@ func TestRecorderMemoryBounded(t *testing.T) {
 // TestRecorderSteadyStateZeroAlloc pins that recording (post-prealloc)
 // and churn notes never allocate.
 func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, true)
 	v := 0.001
 	allocs := testing.AllocsPerRun(10000, func() {
 		rec.NoteStart()
@@ -185,31 +185,12 @@ func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRecorderRotateZeroAllocWithinHint pins that rotation with a
-// sufficient window hint never allocates: the per-window series grow
-// into preallocated capacity.
-func TestRecorderRotateZeroAllocWithinHint(t *testing.T) {
-	const hint = 20100
-	rec := NewRecorder(2, hint, true)
-	allocs := testing.AllocsPerRun(20000, func() {
-		rec.Record(0.01, false)
-		rec.Record(0.05, false)
-		rec.Rotate(1)
-	})
-	if allocs != 0 {
-		t.Fatalf("rotation allocates %v allocs/op within hint, want 0", allocs)
-	}
-	if rec.Series().Windows() > hint {
-		t.Fatalf("guard vacuous: %d windows exceeded the hint", rec.Series().Windows())
-	}
-}
-
 // TestRecorderReserveWindows pins the path real runs take: a recorder
-// constructed without a hint (the drivers don't know the duration)
-// gets its horizon reserved by experiment.Run, after which rotation
-// never allocates and already-emitted windows are preserved.
+// (the drivers don't know the duration) gets its horizon reserved by
+// experiment.Run, after which rotation never allocates and
+// already-emitted windows are preserved.
 func TestRecorderReserveWindows(t *testing.T) {
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, true)
 	rec.Record(0.25, false)
 	rec.Rotate(2) // one window emitted before the reservation
 	rec.ReserveWindows(4200)
@@ -228,7 +209,7 @@ func TestRecorderReserveWindows(t *testing.T) {
 // TestRecorderEmptyWindows pins that idle windows emit zero samples
 // (not stale data) and keep the axis aligned.
 func TestRecorderEmptyWindows(t *testing.T) {
-	rec := NewRecorder(2, 4, false)
+	rec := NewRecorder(2, false)
 	rec.Record(0.5, false)
 	rec.Rotate(0)
 	rec.Rotate(0) // empty window
@@ -244,48 +225,76 @@ func TestRecorderEmptyWindows(t *testing.T) {
 	}
 }
 
-// TestRecorderFaultSeries pins the fault telemetry: enabling it
-// materializes the five series, windows count abnormal outcomes, the
-// retry series differences the cumulative source, and availability is
-// served/(served+abnormal) with an idle-window default of 1.
-func TestRecorderFaultSeries(t *testing.T) {
-	rec := NewRecorder(2, 4, false)
-	var cum uint64
-	rec.EnableFaultSeries(func() uint64 { return cum })
+// TestRecorderAddSeries pins the optional-series hook: an added gauge
+// and an added differenced counter sample once per window after the
+// base series (idle windows included), the series take their slots in
+// SeriesNames order, a base or unknown name and a repeated add panic,
+// and rotation with added series allocates nothing after
+// ReserveWindows.
+func TestRecorderAddSeries(t *testing.T) {
+	rec := NewRecorder(2, false)
+	if rec.Series().Replicas != nil || rec.Series().Retries != nil {
+		t.Fatal("optional series present before AddSeries")
+	}
+	gauge := 1.0
+	var cum, last uint64
+	rec.AddSeries("replicas", "replicas", func() float64 { return gauge })
+	rec.AddSeries("retries", "retries/window", func() float64 {
+		d := cum - last
+		last = cum
+		return float64(d)
+	})
 
-	// Window 1: two served, one timeout, one failure, three retries.
+	// Window 1: three retries. Window 2: one more, gauge up. Window 3:
+	// idle.
 	rec.Record(0.010, false)
-	rec.Record(0.010, false)
-	rec.NoteTimeout()
-	rec.NoteFailure()
 	cum = 3
 	rec.Rotate(0)
-
-	// Window 2: all healthy, one more retry.
-	rec.Record(0.010, false)
-	cum = 4
+	cum, gauge = 4, 3
 	rec.Rotate(0)
-
-	// Window 3: idle.
 	rec.Rotate(0)
 
 	s := rec.Series()
-	if s.Timeouts.At(0) != 1 || s.Failures.At(0) != 1 || s.Sheds.At(0) != 0 {
-		t.Fatalf("window 1 outcomes = %v/%v/%v, want 1/1/0",
-			s.Timeouts.At(0), s.Failures.At(0), s.Sheds.At(0))
+	if got := s.Replicas.Values; len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 3 {
+		t.Fatalf("gauge series = %v, want [1 3 3]", got)
 	}
-	if s.Retries.At(0) != 3 || s.Retries.At(1) != 1 || s.Retries.At(2) != 0 {
-		t.Fatalf("retry series = %v, want [3 1 0]", s.Retries.Values)
+	if got := s.Retries.Values; len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 0 {
+		t.Fatalf("differenced series = %v, want [3 1 0]", got)
 	}
-	if got := s.Availability.At(0); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("window 1 availability = %v, want 0.5", got)
+	if s.Retries.Unit != "retries/window" || s.Retries.Interval != 2 || s.Retries.TimeAt(2) != 4 {
+		t.Fatalf("added series axis/unit = %q %v %v", s.Retries.Unit, s.Retries.Interval, s.Retries.TimeAt(2))
 	}
-	if s.Availability.At(1) != 1 || s.Availability.At(2) != 1 {
-		t.Fatalf("healthy/idle availability = %v/%v, want 1/1",
-			s.Availability.At(1), s.Availability.At(2))
+	if s.ByName("retries") != s.Retries || s.ByName("replicas") != s.Replicas {
+		t.Fatal("added series not in their SeriesNames slots")
 	}
-	// Counters reset between windows.
-	if s.Timeouts.At(1) != 0 || s.Failures.At(1) != 0 {
-		t.Fatalf("window 2 outcomes should be zero")
+	if allocs := testing.AllocsPerRun(100, func() { s.ByName("queue_lag_ms") }); allocs != 0 {
+		t.Fatalf("ByName allocates %v allocs/op, want 0", allocs)
+	}
+	if n := len(s.All()); n != len(SeriesNames) {
+		t.Fatalf("All() = %d slots, want one per SeriesNames entry (%d)", n, len(SeriesNames))
+	}
+	if n := len(s.Present()); n != len(baseUnits)+2 {
+		t.Fatalf("Present() = %d series, want %d", n, len(baseUnits)+2)
+	}
+
+	for _, name := range []string{"latency_p95_ms", "abandoned_sessions", "no_such_series", "replicas"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddSeries(%q) did not panic", name)
+				}
+			}()
+			rec.AddSeries(name, "", func() float64 { return 0 })
+		}()
+	}
+
+	rec.ReserveWindows(4000)
+	allocs := testing.AllocsPerRun(3000, func() {
+		rec.Record(0.01, false)
+		cum++
+		rec.Rotate(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("rotation with added series allocates %v allocs/op, want 0", allocs)
 	}
 }

@@ -354,15 +354,15 @@ func TestRequestAccountingInvariant(t *testing.T) {
 	k.Run(60 * sim.Second)
 	fe.Replicas[0].restore()
 	k.Run(90 * sim.Second)
-	issued, served, timedOut, shed, failed, degraded := drv.RequestTotals()
-	sum := served + timedOut + shed + failed + degraded
-	if sum > issued {
-		t.Fatalf("outcomes (%d) exceed issued (%d)", sum, issued)
+	rc := drv.RequestTotals()
+	sum := rc.Served + rc.TimedOut + rc.Shed + rc.Failed + rc.Degraded
+	if sum > rc.Issued {
+		t.Fatalf("outcomes (%d) exceed issued (%d)", sum, rc.Issued)
 	}
-	if served == 0 || failed == 0 {
-		t.Fatalf("vacuous run: served=%d failed=%d", served, failed)
+	if rc.Served == 0 || rc.Failed == 0 {
+		t.Fatalf("vacuous run: served=%d failed=%d", rc.Served, rc.Failed)
 	}
-	if inflight := issued - sum; inflight > 32 {
+	if inflight := rc.Issued - sum; inflight > 32 {
 		t.Fatalf("%d requests unaccounted at the horizon, want a handful in flight at most", inflight)
 	}
 }

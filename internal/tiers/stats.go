@@ -31,15 +31,21 @@ type LoadGen interface {
 	// collector's sampling ticker so the latency series share the
 	// resource series' time axis.
 	RotateWindow(now sim.Time)
-	// Recorder exposes the generator's telemetry recorder, for enabling
+	// Recorder exposes the generator's telemetry recorder, for adding
 	// optional series, reserving window capacity and reading the
 	// run-level histograms.
 	Recorder() *telemetry.Recorder
-	// RequestTotals splits issued requests by outcome. issued counts
-	// requests dispatched into the serving path; the remainder
-	// (issued - served - timedOut - shed - failed - degraded) is still
-	// in flight.
-	RequestTotals() (issued, served, timedOut, shed, failed, degraded uint64)
+	// RequestTotals reports the cumulative split of issued requests by
+	// outcome.
+	RequestTotals() RequestCounts
+}
+
+// RequestCounts splits issued requests by outcome. Issued counts
+// requests dispatched into the serving path; the remainder
+// (Issued - Served - TimedOut - Shed - Failed - Degraded) is still in
+// flight.
+type RequestCounts struct {
+	Issued, Served, TimedOut, Shed, Failed, Degraded uint64
 }
 
 // driverStats is the outcome accounting shared by the closed-loop and
@@ -77,7 +83,7 @@ type driverStats struct {
 // sized later, when experiment.Run reserves the duration-derived window
 // count on the recorder.
 func (s *driverStats) initStats(prealloc bool) {
-	s.rec = telemetry.NewRecorder(sysstat.SampleInterval.Sec(), 0, prealloc)
+	s.rec = telemetry.NewRecorder(sysstat.SampleInterval.Sec(), prealloc)
 }
 
 // observeSent marks one request leaving the client, for the in-flight
@@ -97,30 +103,26 @@ func (s *driverStats) observe(rt float64, isWrite bool, kind int) {
 }
 
 // observeFault records one request that ended abnormally: it counts
-// toward the outcome split and the per-window fault series, but its
-// turnaround never enters the latency pipeline (an error response's
-// sub-millisecond "latency" would poison the served distribution).
+// toward the outcome split, but its turnaround never enters the
+// latency pipeline (an error response's sub-millisecond "latency"
+// would poison the served distribution).
 func (s *driverStats) observeFault(o Outcome) {
 	s.inflight--
 	switch o {
 	case OutcomeTimedOut:
 		s.TimedOut++
-		s.rec.NoteTimeout()
 	case OutcomeShed:
 		s.Shed++
-		s.rec.NoteShed()
 	case OutcomeDegraded:
 		s.Degraded++
-		s.rec.NoteDegraded()
 	default:
 		s.Failed++
-		s.rec.NoteFailure()
 	}
 }
 
 // RequestTotals implements LoadGen.
-func (s *driverStats) RequestTotals() (issued, served, timedOut, shed, failed, degraded uint64) {
-	return s.Issued, s.Completed, s.TimedOut, s.Shed, s.Failed, s.Degraded
+func (s *driverStats) RequestTotals() RequestCounts {
+	return RequestCounts{s.Issued, s.Completed, s.TimedOut, s.Shed, s.Failed, s.Degraded}
 }
 
 // noteInteraction tallies one successfully executed interaction.
